@@ -1,9 +1,10 @@
 """Layer extraction: tarball bytes → a fully-populated LayerProfile.
 
-This is the analyzer's hot path: decompress the gzip'd tarball, walk its
-members, hash every file's content, identify its type by magic number, and
-derive the directory metadata — the paper's per-layer measurement, end to
-end, on real bytes.
+This is the analyzer's hot path: stream the gzip'd tarball through the
+single-pass walker, and for each file as it comes out hash its content,
+identify its type by magic number and drop it, then derive the directory
+metadata — the paper's per-layer measurement, end to end, on real bytes,
+holding one member at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from repro.analyzer.profiles import DirectoryRecord, FileRecord, LayerProfile
 from repro.filetypes.catalog import TypeCatalog, default_catalog
 from repro.filetypes.classifier import classify_bytes
 from repro.model.layer import parent_dirs
-from repro.registry.tarball import extract_layer_tarball
+from repro.registry.tarball import iter_layer_files
 from repro.util.digest import sha256_bytes
 
 
@@ -23,7 +24,6 @@ def extract_and_profile(
 ) -> LayerProfile:
     """Extract a layer tarball and measure everything §III-C asks for."""
     catalog = catalog or default_catalog()
-    files = extract_layer_tarball(blob)
 
     records: list[FileRecord] = []
     dir_file_counts: Counter[str] = Counter()
@@ -31,7 +31,7 @@ def extract_and_profile(
     max_depth = 0
     files_size = 0
 
-    for path, content in files:
+    for path, content in iter_layer_files(blob):
         ancestors = parent_dirs(path)
         all_dirs.update(ancestors)
         if ancestors:

@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.analyzer.profiles import DirectoryRecord, FileRecord, LayerProfile
 from repro.filetypes.catalog import TypeCatalog, default_catalog
 from repro.filetypes.classifier import classify_bytes
-from repro.registry.tarball import extract_layer_tarball
+from repro.registry.tarball import iter_layer_files
 from repro.util.digest import sha256_bytes
 
 #: how much of a file the classifier needs (tar magic sits at offset 257)
@@ -36,7 +36,7 @@ def extract_to_directory(blob: bytes, dest: str | Path) -> Path:
     """
     root = Path(dest)
     root.mkdir(parents=True, exist_ok=True)
-    for path, content in extract_layer_tarball(blob):
+    for path, content in iter_layer_files(blob):
         target = root / path
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(content)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.model.layer import parent_dirs
-from repro.registry.tarball import build_layer_tarball, extract_layer_tarball
+from repro.registry.tarball import build_layer_tarball, iter_layer_members
 from repro.util.digest import sha256_bytes
 
 
@@ -175,14 +175,20 @@ class DedupLayerStore:
                 already_present=True,
             )
 
-        files = extract_layer_tarball(blob)
+        # walked to the end before any chunk is stored: a blob that fails its
+        # CRC on the last read must leave no chunks behind
+        walked = list(iter_layer_members(blob))
         members: list[tuple[str, str]] = []
         new_files = 0
         duplicate_files = 0
         logical = 0
         new_bytes = 0
         implied_dirs: set[str] = set()
-        for path, content in files:
+        tar_dirs: set[str] = set()
+        for path, content in walked:
+            if content is None:
+                tar_dirs.add(path)
+                continue
             implied_dirs.update(parent_dirs(path))
             logical += len(content)
             digest, created, stored = self.chunks.put(content)
@@ -193,9 +199,7 @@ class DedupLayerStore:
                 duplicate_files += 1
             members.append((path, digest))
 
-        extra_dirs = tuple(
-            sorted(set(_tar_directories(blob)) - implied_dirs)
-        )
+        extra_dirs = tuple(sorted(tar_dirs - implied_dirs))
         recipe = LayerRecipe(
             layer_digest=layer_digest,
             files=tuple(members),
@@ -269,19 +273,3 @@ class DedupLayerStore:
             freed += len(self.chunks.get(digest))
             self.chunks.delete(digest)
         return {"chunks_deleted": len(dead), "bytes_freed": freed}
-
-
-def _tar_directories(blob: bytes) -> list[str]:
-    """Directory members recorded in a layer tarball."""
-    import gzip
-    import io
-    import tarfile
-
-    with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as zf:
-        raw = zf.read()
-    out: list[str] = []
-    with tarfile.open(fileobj=io.BytesIO(raw), mode="r") as tar:
-        for member in tar.getmembers():
-            if member.isdir():
-                out.append(member.name.rstrip("/"))
-    return out

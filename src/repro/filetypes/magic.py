@@ -93,7 +93,8 @@ def _sniff_shebang(data: bytes) -> str | None:
     return "script_other"
 
 
-_XML_PREFIXES = (b"<?xml", b"<!doctype html", b"<html", b"<!DOCTYPE html", b"<HTML")
+#: matched against the lower-cased start of the content
+_XML_PREFIXES = (b"<?xml", b"<!doctype html", b"<html")
 
 
 def _sniff_text(data: bytes) -> str | None:
@@ -102,7 +103,7 @@ def _sniff_text(data: bytes) -> str | None:
     if stripped.startswith(b"<?php"):
         return "php"
     lowered = stripped[:64].lower()
-    if any(lowered.startswith(p.lower()) for p in _XML_PREFIXES):
+    if lowered.startswith(_XML_PREFIXES):
         # An XML prolog may introduce an SVG document.
         if b"<svg" in data[:2048].lower():
             return "svg"
@@ -114,11 +115,7 @@ def _sniff_text(data: bytes) -> str | None:
     # Encoding sniffing, in decreasing specificity.
     if data.startswith(b"\xef\xbb\xbf") or data.startswith(b"\xff\xfe") or data.startswith(b"\xfe\xff"):
         return "utf_text"
-    try:
-        data.decode("ascii")
-    except UnicodeDecodeError:
-        pass
-    else:
+    if data.isascii():
         return "ascii_text" if _is_printable_text(data) else None
     try:
         data.decode("utf-8")
@@ -133,20 +130,15 @@ def _sniff_text(data: bytes) -> str | None:
     return None
 
 
-_TEXT_CONTROL_OK = frozenset(b"\t\n\r\x0b\x0c")
+#: whitespace controls and printable ASCII; with ``allow_high``, 0x80-0xFF too
+_TEXT_BYTES = b"\t\n\r\x0b\x0c" + bytes(range(0x20, 0x7F))
+_TEXT_BYTES_HIGH = _TEXT_BYTES + bytes(range(0x80, 0x100))
 
 
 def _is_printable_text(data: bytes, *, allow_high: bool = False) -> bool:
     """True when *data* contains no control bytes other than whitespace."""
-    sample = data[:4096]
-    for byte in sample:
-        if byte < 0x20 and byte not in _TEXT_CONTROL_OK:
-            return False
-        if byte == 0x7F:
-            return False
-        if byte >= 0x80 and not allow_high:
-            return False
-    return True
+    allowed = _TEXT_BYTES_HIGH if allow_high else _TEXT_BYTES
+    return not data[:4096].translate(None, allowed)
 
 
 def sniff_bytes(data: bytes) -> str | None:
@@ -158,7 +150,7 @@ def sniff_bytes(data: bytes) -> str | None:
     if len(data) == 0:
         return "empty"
     for magic, offset, name in _SIGNATURES:
-        if data[offset : offset + len(magic)] == magic:
+        if data.startswith(magic, offset):
             if name == "video" and magic == b"RIFF" and data[8:12] != b"AVI ":
                 continue  # RIFF that isn't AVI (e.g. WAV) — keep looking
             return name

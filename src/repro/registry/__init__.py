@@ -28,8 +28,11 @@ from repro.registry.http import HTTPSearchClient, HTTPSession, RegistryHTTPServe
 from repro.registry.registry import Registry
 from repro.registry.search import HubSearchEngine, SearchPage
 from repro.registry.tarball import (
+    LayerFormatError,
     build_layer_tarball,
     extract_layer_tarball,
+    iter_layer_files,
+    iter_layer_members,
     layer_from_files,
 )
 
@@ -46,6 +49,7 @@ __all__ = [
     "HTTPSearchClient",
     "HTTPSession",
     "HubSearchEngine",
+    "LayerFormatError",
     "RegistryHTTPServer",
     "ManifestNotFoundError",
     "MemoryBlobStore",
@@ -58,5 +62,7 @@ __all__ = [
     "collect_cluster_garbage",
     "build_layer_tarball",
     "extract_layer_tarball",
+    "iter_layer_files",
+    "iter_layer_members",
     "layer_from_files",
 ]

@@ -5,13 +5,19 @@ compressed bytes (that digest is what manifests reference). Archive members
 are written with zeroed timestamps and stable ordering so the same logical
 content always produces the same digest — content addressing would be useless
 otherwise.
+
+Writing goes through the stdlib's ``tarfile``; reading is one streaming pass
+(:func:`iter_layer_members`) that never holds the decompressed archive.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import re
+import struct
 import tarfile
+from typing import Callable, Iterator
 
 from repro.filetypes.catalog import TypeCatalog, default_catalog
 from repro.filetypes.classifier import classify_bytes
@@ -72,31 +78,128 @@ def build_layer_tarball(
     return gz.getvalue()
 
 
-def extract_layer_tarball(blob: bytes) -> list[tuple[str, bytes]]:
-    """Unpack a gzip'd layer tarball back into ``(path, content)`` pairs.
+class LayerFormatError(ValueError):
+    """A layer's tar stream is malformed, truncated, unsafe or of a kind we cannot size."""
 
-    Directory entries are dropped (they are derivable from paths); unsafe
-    members (absolute paths, ``..``) are rejected rather than silently
-    skipped.
+
+_BLOCK = 512
+_END_MARKER = bytes(_BLOCK)
+_FILE_KINDS = (b"0", b"\0", b"7")
+#: link, symlink, char/block device, directory, fifo: a header and no data
+#: blocks, whatever the size field says (a hard link may repeat its target's)
+_HEADER_ONLY_KINDS = (b"1", b"2", b"3", b"4", b"5", b"6")
+_PAX_RECORD = re.compile(rb"(\d+) ([^=]+)=")
+
+
+def _text(field: bytes) -> str:
+    return field.split(b"\0", 1)[0].decode("utf-8", "surrogateescape")
+
+
+def _number(field: bytes) -> int:
+    try:  # octal only: GNU base-256 is for members past 8 GiB, a blob in memory has none
+        return int(field.split(b"\0", 1)[0].strip() or b"0", 8)
+    except ValueError:
+        raise LayerFormatError(f"bad number in tar header: {field!r}") from None
+
+
+def _read_blocks(read: Callable[[int], bytes], size: int) -> bytes:
+    """Read *size* bytes and the padding up to the next block boundary."""
+    padding = -size % _BLOCK
+    if size < 0 or len(data := read(size)) != size or len(read(padding)) != padding:
+        raise LayerFormatError("truncated tar member")
+    return data
+
+
+def _pax_records(data: bytes) -> dict[str, str]:
+    """The ``path`` and ``size`` records of a pax extended header."""
+    records: dict[str, str] = {}
+    pos = 0
+    while match := _PAX_RECORD.match(data, pos):
+        length, key = int(match[1]), match[2]
+        if length == 0:
+            raise LayerFormatError("zero-length pax record")
+        if key.startswith(b"GNU.sparse."):
+            raise LayerFormatError("sparse tar members are not supported")
+        if key in (b"path", b"size"):
+            value = _text(data[match.end() : pos + length - 1])
+            if key == b"size" and not value.isdigit():
+                raise LayerFormatError(f"bad pax size: {value!r}")
+            records[key.decode()] = value.rstrip("/") if key == b"path" else value
+        pos += length
+    return records
+
+
+def iter_layer_members(blob: bytes) -> Iterator[tuple[str, bytes | None]]:
+    """Walk a gzip'd layer tarball once, yielding each member as it is read.
+
+    Regular files come as ``(path, content)``, directories as ``(path, None)``,
+    in archive order; links, devices and fifos are skipped. The decompressed
+    tar is never held: ``GzipFile`` is read one header or one body at a time
+    (CRC-32, length, concatenated gzip members and trailing garbage stay the
+    stdlib's checks) and drained past the tar end marker so the trailer is
+    verified. Names resolve as ``tarfile`` resolves them (ustar prefix, GNU
+    ``L``, pax ``x``/``g`` ``path`` and ``size``); unsafe members (absolute
+    paths, ``..``) are rejected rather than silently skipped.
     """
-    out: list[tuple[str, bytes]] = []
     with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as zf:
-        raw = zf.read()
-    with tarfile.open(fileobj=io.BytesIO(raw), mode="r") as tar:
-        for member in tar.getmembers():
-            name = member.name
-            if name.startswith("./"):
-                name = name[2:]
-            if name.startswith("/") or ".." in name.split("/"):
-                raise ValueError(f"unsafe tar member: {member.name!r}")
-            if member.isdir():
+        read = zf.read
+        global_pax: dict[str, str] = {}
+        pending: dict[str, str] = {}  # from L and x headers, for the next member
+        while (header := read(_BLOCK)) and header != _END_MARKER:
+            if len(header) != _BLOCK:
+                raise LayerFormatError("truncated tar header")
+            checksum = _number(header[148:156])
+            # NULs are most of a header and add nothing to the sum
+            unsigned = sum(header.translate(None, b"\0")) - sum(header[148:156])
+            if checksum != 256 + unsigned and (
+                checksum != 256 + sum(struct.unpack_from("148b8x356b", header))
+            ):
+                raise LayerFormatError("bad tar header checksum")
+            kind = header[156:157]
+            size = _number(header[124:136])
+            if kind in (b"S", b"M"):
+                raise LayerFormatError(f"unsupported tar member kind {kind!r}")
+            if kind in (b"L", b"K", b"x", b"X", b"g"):
+                data = _read_blocks(read, size)
+                if kind == b"g":
+                    global_pax.update(_pax_records(data))
+                elif kind != b"K":  # as in tarfile, the first header to name a field wins
+                    found = {"path": _text(data)} if kind == b"L" else _pax_records(data)
+                    pending = {**found, **pending}
                 continue
-            if not member.isfile():
-                continue  # devices/symlinks out of scope for the analysis
-            handle = tar.extractfile(member)
-            content = handle.read() if handle is not None else b""
-            out.append((name, content))
-    return out
+
+            extended = {**global_pax, **pending}
+            pending = {}
+            name = _text(header[0:100])
+            if kind == b"\0" and name.endswith("/"):
+                kind = b"5"  # V7: a directory is a regular file named "dir/"
+            if prefix := _text(header[345:500]):
+                name = prefix + "/" + name
+            name = extended.get("path", name)
+            if kind == b"5":
+                name = name.rstrip("/")
+            size = int(extended.get("size", size))
+            path = name[2:] if name.startswith("./") else name
+            if path.startswith("/") or ".." in path.split("/"):
+                raise LayerFormatError(f"unsafe tar member: {name!r}")
+            if kind == b"5":
+                yield path, None
+            elif kind not in _HEADER_ONLY_KINDS:
+                content = _read_blocks(read, size)
+                if kind in _FILE_KINDS:  # data of an unknown kind is read and dropped
+                    yield path, content
+        while read(1 << 16):
+            pass
+
+
+def iter_layer_files(blob: bytes) -> Iterator[tuple[str, bytes]]:
+    """The regular files of a layer tarball, one ``(path, content)`` at a time."""
+    return (member for member in iter_layer_members(blob) if member[1] is not None)
+
+
+def extract_layer_tarball(blob: bytes) -> list[tuple[str, bytes]]:
+    """Unpack a gzip'd layer tarball back into ``(path, content)`` pairs."""
+    return list(iter_layer_files(blob))
 
 
 def layer_from_files(

@@ -1,5 +1,8 @@
 """Unit tests for layer extraction and profiling."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.analyzer.extract import extract_and_profile
@@ -78,3 +81,25 @@ class TestEmptyLayer:
         assert profile.directory_count == 0
         assert profile.max_depth == 0
         assert profile.compressed_size == len(blob)
+
+
+class TestBoundedMemory:
+    def test_peak_is_one_member_not_the_layer(self):
+        """The walk holds a member at a time: 16 MiB of incompressible files
+        profile in the blob plus a couple of members, where holding the
+        decompressed tar and every body took over 32 MiB."""
+        rng = random.Random(14)
+        member = 256 * 1024
+        files = [(f"data/blob{i:02d}.bin", rng.randbytes(member)) for i in range(64)]
+        blob = build_layer_tarball(files)
+        expected = [(path, sha256_bytes(content)) for path, content in files]
+        del files
+        tracemalloc.start()
+        try:
+            profile = extract_and_profile(sha256_bytes(blob), blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(f.path, f.digest) for f in profile.files] == expected
+        assert profile.files_size == 64 * member
+        assert peak < len(blob) + 2 * member + (1 << 20)

@@ -47,6 +47,33 @@ class TestContract:
         assert set(store.digests()) == {d1, d2}
 
 
+class TestSingleDecode:
+    def test_put_walks_each_blob_once_and_get_restores_it(self, monkeypatch):
+        from repro.dedupstore import store as store_module
+
+        walks = []
+
+        def counting_walk(blob):
+            walks.append(sha256_bytes(blob))
+            return walker(blob)
+
+        walker = store_module.iter_layer_members
+        monkeypatch.setattr(store_module, "iter_layer_members", counting_walk)
+        blobs = [
+            build_layer_tarball([SHARED, ("etc/conf", b"k=v\n")], extra_dirs=["var/empty"]),
+            build_layer_tarball([], extra_dirs=["run/lock", "srv"]),  # directories only
+            build_layer_tarball([SHARED]),
+            build_layer_tarball([]),
+        ]
+        store = DedupBlobStore()
+        digests = [store.put(blob) for blob in blobs]
+        assert walks == digests
+        assert all(store.layers.has_layer(d) for d in digests)
+        assert store.layers.recipe(digests[1]).extra_dirs == ("run/lock", "srv")
+        assert [store.get(d) for d in digests] == blobs
+        assert walks == digests  # restoring decodes nothing
+
+
 class TestDedupEconomics:
     def test_cross_layer_savings(self):
         store = DedupBlobStore()

@@ -6,8 +6,11 @@ import tarfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.filetypes.magic import sniff_bytes
+from repro.filetypes.classifier import classify_bytes
+from repro.filetypes.magic import _SIGNATURES, _is_printable_text, sniff_bytes
 
 
 def _tarball() -> bytes:
@@ -134,3 +137,96 @@ class TestTextSniffing:
 
     def test_unidentified_binary_returns_none(self):
         assert sniff_bytes(b"\x00\x01\x02\x03\x04" * 10) is None
+
+
+# -- the C-speed sniffer answers as the per-byte one did ------------------------------
+
+_TEXT_CONTROL_OK = frozenset(b"\t\n\r\x0b\x0c")
+
+
+def reference_is_printable_text(data: bytes, *, allow_high: bool = False) -> bool:
+    """``magic._is_printable_text`` before it became a ``bytes.translate`` test."""
+    sample = data[:4096]
+    for byte in sample:
+        if byte < 0x20 and byte not in _TEXT_CONTROL_OK:
+            return False
+        if byte == 0x7F:
+            return False
+        if byte >= 0x80 and not allow_high:
+            return False
+    return True
+
+
+def reference_signature(data: bytes) -> str | None:
+    """The signature scan of ``sniff_bytes`` when it compared slices."""
+    for magic, offset, name in _SIGNATURES:
+        if data[offset : offset + len(magic)] == magic:
+            if name == "video" and magic == b"RIFF" and data[8:12] != b"AVI ":
+                continue
+            return name
+    return None
+
+
+E_ACUTE = "é".encode()
+
+#: (content, what sniff_bytes said at the parent commit, what classify_bytes said)
+PARENT_ANSWERS = [
+    (b"a" * 5000 + b"\xe9", "iso8859_text", "iso8859_text"),
+    (b"a" * 100 + b"\xe9" + b"a" * 10, "iso8859_text", "iso8859_text"),
+    (b"a" * 5000 + E_ACUTE, "utf_text", "utf_text"),
+    (b"a" * 4095 + E_ACUTE + b"a" * 10, "utf_text", "utf_text"),  # straddles 4096
+    (b"a" * 4094 + "€".encode() + b"a" * 10, "utf_text", "utf_text"),
+    (b"\xff\x00abc", None, "data"),
+    (b"caf\xc3", "iso8859_text", "iso8859_text"),  # truncated UTF-8 sequence
+    (b"abc\xc0\xaf", "iso8859_text", "iso8859_text"),  # overlong encoding
+    (b"a" * 10 + b"\x01" + b"a" * 10, None, "data"),
+    (b"a" * 5000 + b"\x01", "ascii_text", "ascii_text"),  # control past the sample
+    (b"abc\x7fdef", None, "data"),
+    (b"a\x0bb\x0cc\n", "ascii_text", "ascii_text"),
+    (b"\xef\xbb\xbfhello", "utf_text", "utf_text"),
+    (b"\xff\xfeh\x00i\x00", "utf_text", "utf_text"),
+    (b"\xfe\xff\x00h\x00i", "utf_text", "utf_text"),
+    (b"\xef\xbb\xbf\x00\x01", "utf_text", "utf_text"),  # a BOM wins outright
+    (E_ACUTE * 3000 + b"\x00", "utf_text", "utf_text"),
+    (E_ACUTE + b"\x00", None, "data"),
+    (b"  <?XML version='1.0'?><a/>", "xml_html", "xml_html"),
+    (b"<!DocType HTML><html>", "xml_html", "xml_html"),
+    (b"<HTML><body>", "xml_html", "xml_html"),
+    (b"<?xml version='1.0'?><SVG></SVG>", "svg", "svg"),
+]
+
+
+class TestSameAnswersAsThePerByteSniffer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=6000), st.booleans())
+    def test_printable_text_matches_reference(self, data, allow_high):
+        assert _is_printable_text(data, allow_high=allow_high) == (
+            reference_is_printable_text(data, allow_high=allow_high)
+        )
+
+    @pytest.mark.parametrize("byte", [0x00, 0x08, 0x0B, 0x0C, 0x0E, 0x1F, 0x20, 0x7E, 0x7F, 0x80, 0xFF])
+    @pytest.mark.parametrize("at", [0, 4095, 4096])
+    @pytest.mark.parametrize("allow_high", [False, True])
+    def test_printable_text_byte_by_byte(self, byte, at, allow_high):
+        data = b"x" * at + bytes([byte]) + b"x"
+        assert _is_printable_text(data, allow_high=allow_high) == (
+            reference_is_printable_text(data, allow_high=allow_high)
+        )
+
+    @pytest.mark.parametrize("data,sniffed,classified", PARENT_ANSWERS)
+    def test_parent_answers(self, data, sniffed, classified):
+        assert sniff_bytes(data) == sniffed
+        assert classify_bytes("blob", data).name == classified
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_SIGNATURES), st.binary(max_size=300), st.integers(-3, 3), st.integers(0, 24))
+    def test_signatures_match_as_the_slice_comparison_did(self, signature, filler, shift, keep):
+        magic, offset, _ = signature
+        at = max(0, offset + shift)
+        # the magic, whole or cut short, at or near its offset, or at the very end
+        data = (filler.ljust(at, b"\0")[:at] + magic[:keep] + filler)[: at + 40]
+        expected = reference_signature(data)
+        if expected is not None:
+            assert sniff_bytes(data) == expected
+        else:
+            assert sniff_bytes(data) not in {name for _, _, name in _SIGNATURES}
