@@ -31,13 +31,59 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2017, help="generation seed")
 
 
-def _add_scale(parser: argparse.ArgumentParser) -> None:
+def _add_scale(
+    parser: argparse.ArgumentParser, default: str = "small", *, bench: bool = True
+) -> None:
+    """``bench`` is offered only where the hub stays columnar: materialized,
+    every one of its layers would be built as a real tarball."""
     parser.add_argument(
         "--scale",
-        choices=["tiny", "small", "bench"],
-        default="small",
+        choices=["tiny", "small", "bench"] if bench else ["tiny", "small"],
+        default=default,
         help="population preset (see SyntheticHubConfig)",
     )
+
+
+#: flags the exercise subcommands (chaos / cluster / churn) repeat, and the
+#: ``--json`` every report-printing subcommand takes: flag -> add_argument()
+_SHARED_FLAGS: dict[str, dict] = {
+    "--seed": dict(type=int, default=7, help="exercise seed"),
+    "--json": dict(action="store_true", help="emit the report as JSON"),
+    "--replicas": dict(
+        type=int, default=None,
+        help="replica count (default 3; with --sharded, 6 for cluster and 4 "
+        "for churn)",
+    ),
+    "--sharded": dict(
+        action="store_true",
+        help="run over the consistent-hash sharded cluster (k-of-N placement, "
+        "hinted handoff; cluster also rebalances through a live join and "
+        "leave) instead of full replication, adding the shard invariants",
+    ),
+    "--k": dict(
+        type=int, default=2,
+        help="replication factor per blob (with --sharded; k < replicas)",
+    ),
+    "--vnodes": dict(
+        type=int, default=32,
+        help="virtual nodes per replica on the hash ring (with --sharded)",
+    ),
+    "--kill-after": dict(
+        type=int,
+        help="simulate a crash after N units of work. chaos: N pulls (rerun "
+        "with the same --journal to resume). churn: N deletions into the "
+        "crash epoch's GC sweep; a replica crashes with it and the resumed "
+        "report must be byte-identical to the uninterrupted reference",
+    ),
+    "--kill-index": dict(
+        type=int, default=1, help="which replica is killed mid-run",
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="run crawl->download->analyze on a materialized registry"
     )
     _add_seed(p)
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument("--dataset", type=Path, help="write the measured dataset (.npz)")
     p.add_argument("--profiles", type=Path, help="write layer/image profiles (.jsonl)")
     p.add_argument(
@@ -87,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", help="regenerate the EXPERIMENTS.md record")
     _add_seed(p)
     p.add_argument("--out", type=Path, default=Path("EXPERIMENTS.md"))
-    p.add_argument("--scale", choices=["tiny", "small", "bench"], default="bench")
+    _add_scale(p, "bench")
 
     p = sub.add_parser("cache", help="simulate cache policies on a pull trace")
     p.add_argument("dataset", type=Path)
@@ -109,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a materialized hub over the Docker Registry v2 HTTP API"
     )
     _add_seed(p)
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument("--port", type=int, default=5000)
     p.add_argument(
         "--print-and-exit",
@@ -166,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=Path("BENCH_pipeline.json"),
         help="where to write the JSON record",
     )
-    p.add_argument("--json", action="store_true", help="print the record as JSON")
+    _add_flags(p, "--json")
 
     p = sub.add_parser(
         "loadtest",
         help="drive a synthetic pull workload against a materialized registry",
     )
     _add_seed(p)
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument("--requests", type=int, default=2_000, help="trace length")
     p.add_argument("--granularity", choices=["image", "layer"], default="image")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
@@ -194,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--http", action="store_true",
         help="serve over a real localhost HTTP server (wall-clock timing)",
     )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    _add_flags(p, "--json")
     p.add_argument(
         "--metrics", action="store_true",
         help="also dump server metrics in Prometheus text format",
@@ -205,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run crawl->pull->loadgen under a fault plan and check the "
         "resilience invariants (exit 1 on violation)",
     )
-    p.add_argument("--seed", type=int, default=7, help="chaos seed")
+    _add_flags(p, "--seed")
     p.add_argument(
         "--plan", default="smoke",
         help="fault plan name (none, smoke, storm)",
     )
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument(
         "--requests", type=int, default=400, help="loadgen trace length"
     )
@@ -219,53 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint directory: the crawl and pull journal here, and a "
         "rerun resumes instead of restarting",
     )
-    p.add_argument(
-        "--kill-after", type=int,
-        help="simulate a crash after N pulls (requires --journal to resume)",
-    )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    _add_flags(p, "--kill-after", "--json")
 
     p = sub.add_parser(
         "cluster",
         help="replicated serving exercise: kill a replica, rot blobs at "
         "rest, heal, and check the HA invariants (exit 1 on violation)",
     )
-    p.add_argument("--seed", type=int, default=7, help="exercise seed")
-    p.add_argument(
-        "--replicas", type=int, default=None,
-        help="replica count (default 3; 6 with --sharded)",
-    )
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_flags(p, "--seed", "--replicas")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument(
         "--requests", type=int, default=120, help="pull-trace length (image pulls)"
     )
-    p.add_argument(
-        "--kill-index", type=int, default=1, help="which replica dies mid-run"
-    )
+    _add_flags(p, "--kill-index")
     p.add_argument(
         "--corrupt-count", type=int, default=2,
         help="blobs to bit-flip at rest on a surviving replica",
     )
-    p.add_argument(
-        "--sharded", action="store_true",
-        help="shard the digest space instead of full replication: "
-        "consistent-hash k-of-N placement, hinted handoff, live "
-        "join/leave rebalancing, and the two extra shard invariants",
-    )
-    p.add_argument(
-        "--k", type=int, default=2,
-        help="replication factor per blob (with --sharded; k < replicas)",
-    )
-    p.add_argument(
-        "--vnodes", type=int, default=32,
-        help="virtual nodes per replica on the hash ring (with --sharded)",
-    )
+    _add_flags(p, "--sharded", "--k", "--vnodes")
     p.add_argument(
         "--overload", action="store_true",
         help="also run the open-loop overload exercise against a "
         "limits-protected server",
     )
-    p.add_argument("--json", action="store_true", help="emit the report(s) as JSON")
+    _add_flags(p, "--json")
 
     p = sub.add_parser(
         "churn",
@@ -273,37 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         "crash-resumable garbage collection; check the GC invariants "
         "(exit 1 on violation)",
     )
-    p.add_argument("--seed", type=int, default=7, help="churn seed")
+    _add_flags(p, "--seed")
     p.add_argument("--epochs", type=int, default=6, help="churn epochs to run")
-    p.add_argument(
-        "--replicas", type=int, default=None,
-        help="replica count (default 3; 4 with --sharded)",
-    )
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
-    p.add_argument(
-        "--sharded", action="store_true",
-        help="run over the consistent-hash sharded cluster instead of "
-        "full replication (adds the placement-conformance invariant)",
-    )
-    p.add_argument(
-        "--k", type=int, default=2,
-        help="replication factor per blob (with --sharded; k < replicas)",
-    )
-    p.add_argument(
-        "--vnodes", type=int, default=32,
-        help="virtual nodes per replica on the hash ring (with --sharded)",
-    )
-    p.add_argument(
-        "--kill-after", type=int,
-        help="kill the GC sweep after N deletions at the crash epoch (a "
-        "replica crashes with it) and demand the resumed report be "
-        "byte-identical to the uninterrupted reference",
-    )
-    p.add_argument(
-        "--kill-index", type=int, default=1,
-        help="which replica crashes with the interrupted sweep",
-    )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    _add_flags(p, "--replicas")
+    _add_scale(p, "tiny", bench=False)
+    _add_flags(p, "--sharded", "--k", "--vnodes")
+    _add_flags(p, "--kill-after", "--kill-index", "--json")
 
     p = sub.add_parser(
         "scan",
@@ -311,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "once, aggregate exposure up the lineage DAG",
     )
     _add_seed(p)
-    p.add_argument("--scale", choices=["tiny", "small"], default="tiny")
+    _add_scale(p, "tiny", bench=False)
     p.add_argument(
         "--mode", choices=["serial", "thread", "process"], default="thread",
         help="parallel mode for layer extraction",
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--db-revision", type=int, default=1,
         help="synthetic CVE feed revision; bumping it invalidates the cache",
     )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    _add_flags(p, "--json")
     p.add_argument("--out", type=Path, help="also write the JSON report here")
     p.add_argument(
         "--selfcheck", action="store_true",
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "proxy fleet -> sharded origin) in virtual time",
     )
     _add_seed(p)
-    p.add_argument("--scale", choices=["tiny", "small", "bench"], default="small")
+    _add_scale(p)
     p.add_argument(
         "--clients", type=int, default=1_000_000,
         help="distinct clients (each appears at least once)",
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "offload monotonicity, live HTTP 304/206) and exit 1 on any "
         "violation — the CI tiers-smoke job",
     )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    _add_flags(p, "--json")
     p.add_argument("--out", type=Path, help="also write the JSON report here")
     p.add_argument(
         "--bench-out", type=Path,
@@ -382,12 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand implementations -------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.model.io import save_dataset
-    from repro.synth import SyntheticHubConfig, generate_dataset
+def _emit(report, args: argparse.Namespace) -> int:
+    """Print an exercise report (``--json`` or rendered); exit status 1
+    if any of its invariants failed."""
+    print(report.to_json() if args.json else report.render())
+    return 0 if report.ok else 1
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
-    dataset = generate_dataset(config)
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.exercise import seeded_hub
+    from repro.model.io import save_dataset
+
+    dataset = seeded_hub(args.scale, args.seed).dataset
     save_dataset(dataset, args.out)
     totals = dataset.totals()
     print(
@@ -527,10 +531,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.core.pipeline import run_materialized_pipeline
+    from repro.exercise import seeded_hub
     from repro.model.io import save_dataset, save_profiles_jsonl
-    from repro.synth import SyntheticHubConfig
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
+    config = seeded_hub(args.scale, args.seed).config
     result = run_materialized_pipeline(
         config, compute_figures=False, cache_dir=args.cache
     )
@@ -644,20 +648,14 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.exercise import seeded_hub
     from repro.registry.http import RegistryHTTPServer
     from repro.registry.search import HubSearchEngine
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(
-        dataset,
-        fail_share=config.fail_share,
-        fail_auth_share=config.fail_auth_share,
-        seed=config.seed,
-    )
-    search = HubSearchEngine(registry, seed=config.seed)
-    server = RegistryHTTPServer(registry, search, port=args.port).start()
+    hub = seeded_hub(args.scale, args.seed, failures=True)
+    truth = hub.truth
+    search = HubSearchEngine(hub.registry, seed=args.seed)
+    server = RegistryHTTPServer(hub.registry, search, port=args.port).start()
     try:
         print(f"registry:   {server.base_url}/v2/")
         print(f"catalog:    {server.base_url}/v2/_catalog")
@@ -758,17 +756,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.cache import generate_trace
     from repro.cache.policies import GDSFCache
     from repro.downloader import CachingProxySession, SimulatedSession
+    from repro.exercise import seeded_hub
     from repro.loadgen import LoadConfig, LoadGenerator, requests_from_trace
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(dataset, fail_share=0.0, seed=args.seed)
+    hub = seeded_hub(args.scale, args.seed)
+    registry = hub.registry
     trace = generate_trace(
-        dataset, args.requests, granularity=args.granularity,
+        hub.dataset, args.requests, granularity=args.granularity,
         locality=0.2, seed=args.seed,
     )
-    ops = requests_from_trace(trace, dataset, truth)
+    ops = requests_from_trace(trace, hub.dataset, hub.truth)
 
     session = SimulatedSession(registry, seed=args.seed)
     if args.proxy:
@@ -825,10 +822,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         journal_dir=args.journal,
         kill_after=args.kill_after,
     )
-    print(report.to_json() if args.json else report.render())
+    code = _emit(report, args)
     if args.kill_after is not None and report.partial:
         return 0  # a simulated crash is not a violation; rerun to resume
-    return 0 if report.ok else 1
+    return code
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -856,13 +853,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             kill_index=args.kill_index,
             corrupt_count=args.corrupt_count,
         )
-    print(report.to_json() if args.json else report.render())
-    ok = report.ok
+    code = _emit(report, args)
     if args.overload:
-        overload = run_overload(seed=args.seed)
-        print(overload.to_json() if args.json else overload.render())
-        ok = ok and overload.ok
-    return 0 if ok else 1
+        code = max(code, _emit(run_overload(seed=args.seed), args))
+    return code
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
@@ -879,38 +873,28 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         kill_after=args.kill_after,
         kill_index=args.kill_index,
     )
-    print(report.to_json() if args.json else report.render())
-    return 0 if report.ok else 1
+    return _emit(report, args)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from repro.exercise import seeded_hub
     from repro.parallel.pool import ParallelConfig
     from repro.scan import DedupScanner, ScanCache, run_scan_exercise, targets_from_truth
     from repro.synth import (
         LineageConfig,
         PackageModel,
         SyntheticCveDatabase,
-        SyntheticHubConfig,
-        generate_dataset,
         generate_lineage,
-        materialize_registry,
     )
 
     if args.selfcheck:
         report = run_scan_exercise(seed=args.seed, scale=args.scale,
                                    workers=args.workers)
-        print(report.to_json() if args.json else report.render())
-        return 0 if report.ok else 1
+        return _emit(report, args)
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(
-        dataset,
-        fail_share=config.fail_share,
-        fail_auth_share=config.fail_auth_share,
-        seed=config.seed,
-    )
-    targets = targets_from_truth(registry, truth)
+    hub = seeded_hub(args.scale, args.seed, failures=True)
+    registry = hub.registry
+    targets = targets_from_truth(registry, hub.truth)
     lineage = generate_lineage(
         [t.name for t in targets],
         [t.pull_count for t in targets],
@@ -945,12 +929,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_tiers(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.synth import SyntheticHubConfig, generate_dataset
+    from repro.exercise import seeded_hub
     from repro.tiers import TiersConfig, run_tiers_exercise, simulate_tiers
     from repro.tiers.exercise import smoke_config
     from repro.tiers.sim import render_report
 
-    dataset = generate_dataset(getattr(SyntheticHubConfig, args.scale)(seed=args.seed))
+    dataset = seeded_hub(args.scale, args.seed).dataset
     if args.smoke:
         exercise = run_tiers_exercise(dataset, smoke_config(seed=args.seed))
         report = exercise.report
@@ -971,11 +955,8 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
         doc = exercise.to_dict() if exercise is not None else report.to_dict()
         print(json_module.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(render_report(report))
-        if exercise is not None:
-            print(f"invariants: {'ok' if exercise.ok else 'FAILED'}")
-            for violation in exercise.violations:
-                print(f"  violation: {violation}")
+        # the sweep table, then (smoke only) the shared verdict lines
+        print(exercise.render() if exercise is not None else render_report(report))
     if args.out:
         args.out.write_text(report.to_json() + "\n")
         print(f"wrote {args.out}")

@@ -11,8 +11,9 @@ a tested property instead of a hope:
 * :mod:`~repro.faults.plans` — named, repeatable chaos scenarios;
 * :mod:`~repro.faults.atrest` — silent blob-store corruption (the fault
   :class:`~repro.ha.scrub.BlobScrubber` exists to catch);
-* :mod:`~repro.faults.chaos` — the end-to-end harness behind
-  ``repro chaos``, with resilience invariants.
+* :mod:`~repro.faults.chaos` — the end-to-end exercise behind
+  ``repro chaos``, with resilience invariants (clock, report base and
+  hub set-up come from :mod:`repro.exercise`).
 """
 
 from repro.faults.atrest import (
@@ -20,7 +21,7 @@ from repro.faults.atrest import (
     corrupt_shard_at_rest,
     corrupt_some_at_rest,
 )
-from repro.faults.chaos import ChaosReport, Invariant, VirtualClock, run_chaos
+from repro.faults.chaos import ChaosReport, run_chaos
 from repro.faults.events import EVENT_KINDS, ShardEvent, plan_shard_events
 from repro.faults.injector import FaultInjector, RequestFaults
 from repro.faults.plans import build_plan, plan_names
@@ -37,10 +38,8 @@ __all__ = [
     "FaultInjectingSession",
     "FaultInjector",
     "FaultRule",
-    "Invariant",
     "RequestFaults",
     "Schedule",
-    "VirtualClock",
     "build_plan",
     "plan_names",
     "plan_shard_events",

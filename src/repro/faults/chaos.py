@@ -26,7 +26,6 @@ resumes to the same final report an uninterrupted run produces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,10 +38,11 @@ from repro.downloader import (
     download_with_checkpoint,
 )
 from repro.downloader.downloader import DownloadStats
+from repro.exercise import ExerciseReport, Invariant, VirtualClock, pull_ops, seeded_hub
 from repro.faults.injector import FaultInjector
 from repro.faults.plans import build_plan
 from repro.faults.session import FaultInjectingSession
-from repro.loadgen import LoadConfig, LoadGenerator, requests_from_trace
+from repro.loadgen import LoadConfig, LoadGenerator
 from repro.obs import MetricsRegistry, counter_total
 from repro.parallel.pool import ParallelConfig
 from repro.registry.search import HubSearchEngine
@@ -50,40 +50,8 @@ from repro.util.digest import sha256_bytes
 from repro.util.journal import JournalFile
 
 
-class VirtualClock:
-    """A monotonic clock that only moves when someone sleeps on it.
-
-    Sharing one instance between the downloader's backoff sleeps, its
-    deadline clock, and the circuit breaker's cooldown clock makes the
-    whole retry/breaker dance a deterministic function of the seed —
-    open circuits really cool down, but in simulated seconds.
-    """
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def now(self) -> float:
-        return self.t
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            self.t += seconds
-
-
 @dataclass
-class Invariant:
-    """One checked resilience property."""
-
-    name: str
-    ok: bool
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-
-@dataclass
-class ChaosReport:
+class ChaosReport(ExerciseReport):
     """Everything a chaos run measured, JSON-stable for seeded diffing."""
 
     seed: int
@@ -99,35 +67,11 @@ class ChaosReport:
     breaker: dict = field(default_factory=dict)
     virtual_seconds: float = 0.0
     loadgen: dict = field(default_factory=dict)
-    invariants: list[Invariant] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
+    def computed(self) -> dict:
+        return {"virtual_seconds": round(self.virtual_seconds, 6)}
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "plan": self.plan,
-            "scale": self.scale,
-            "partial": self.partial,
-            "resumed": self.resumed,
-            "crawl": self.crawl,
-            "pull": self.pull,
-            "outcomes": self.outcomes,
-            "faults": self.faults,
-            "quarantined": self.quarantined,
-            "breaker": self.breaker,
-            "virtual_seconds": round(self.virtual_seconds, 6),
-            "loadgen": self.loadgen,
-            "invariants": [inv.to_dict() for inv in self.invariants],
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
+    def lines(self) -> list[str]:
         lines = [
             f"chaos run: plan={self.plan} seed={self.seed} scale={self.scale}"
             + (" [partial]" if self.partial else "")
@@ -155,11 +99,7 @@ class ChaosReport:
                 f"{self.loadgen.get('errors', 0)} errors, "
                 f"{self.loadgen.get('duration_s', 0.0):.3f} virtual s"
             )
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(f"  [{mark}] {inv.name}: {inv.detail}")
-        lines.append("verdict: " + ("all invariants hold" if self.ok else "INVARIANT VIOLATED"))
-        return "\n".join(lines)
+        return lines
 
 
 def run_chaos(
@@ -181,16 +121,8 @@ def run_chaos(
     directory to resume. A partial (killed) run skips the loadgen phase
     and the completion invariants.
     """
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
-
-    config = getattr(SyntheticHubConfig, scale)(seed=seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(
-        dataset,
-        fail_share=config.fail_share,
-        fail_auth_share=config.fail_auth_share,
-        seed=seed,
-    )
+    hub = seeded_hub(scale, seed, failures=True)
+    registry = hub.registry
     search = HubSearchEngine(registry, seed=seed)
     report = ChaosReport(seed=seed, plan=plan, scale=scale)
 
@@ -243,7 +175,7 @@ def run_chaos(
 
     # -- loadgen under a fresh injector (virtual time, closed loop) ------------
     if not report.partial:
-        trace_ops = _loadgen_ops(dataset, truth, requests, seed)
+        trace_ops = pull_ops(hub, requests)
         # own metrics registry: the pull phase's faults_injected_total must
         # keep reconciling against the pull injector's stats alone
         lg_injector = FaultInjector(build_plan(plan), seed=seed + 1)
@@ -265,15 +197,6 @@ def run_chaos(
 
     report.invariants = _check_invariants(report, downloader, metrics, stats)
     return report
-
-
-def _loadgen_ops(dataset, truth, requests: int, seed: int):
-    from repro.cache import generate_trace
-
-    trace = generate_trace(
-        dataset, requests, granularity="image", locality=0.2, seed=seed
-    )
-    return requests_from_trace(trace, dataset, truth)
 
 
 def _metric_total(metrics: MetricsRegistry, name: str) -> int:

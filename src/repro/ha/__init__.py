@@ -34,6 +34,11 @@ reproduction's registry the same serving-side resilience:
   churn over the cluster with journaled crash-resumable garbage
   collection, checked against the no-resurrection / no-live-deletion /
   byte-identical-resume invariants.
+
+The three exercises are straight-line scripts over the parts they share
+with ``repro chaos`` — virtual clock, ``Invariant`` and report base, hub
+set-up, pull phase, availability sweep and the replica-set → monitor →
+frontend bring-up — which live in :mod:`repro.exercise`.
 """
 
 from repro.ha.admission import (
@@ -42,7 +47,7 @@ from repro.ha.admission import (
     ServerLimits,
     TokenBucketLimiter,
 )
-from repro.ha.churn import ChurnReport, ReplicaSetWriter, VirtualClock, run_churn
+from repro.ha.churn import ChurnReport, ReplicaSetWriter, run_churn
 from repro.ha.cluster import ClusterReport, run_cluster, run_overload
 from repro.ha.frontend import FailoverFrontend
 from repro.ha.health import EJECTED, LIVE, HealthMonitor, ReplicaHealth
@@ -74,7 +79,6 @@ __all__ = [
     "ChurnReport",
     "ClusterReport",
     "ReplicaSetWriter",
-    "VirtualClock",
     "HashRing",
     "PlacementDiff",
     "compute_placement",

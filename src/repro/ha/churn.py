@@ -46,17 +46,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.faults.chaos import Invariant
-from repro.ha.frontend import FailoverFrontend
-from repro.ha.health import HealthMonitor
+from repro.exercise import (
+    ExerciseReport,
+    Invariant,
+    VirtualClock,
+    availability_sweep,
+    seeded_hub,
+    serving_cluster,
+)
 from repro.ha.replica import RegistryReplicaSet
-from repro.ha.sharded import ShardedReplicaSet
-from repro.obs import MetricsRegistry
 from repro.registry.errors import RepositoryNotFoundError, TagNotFoundError
 from repro.registry.gc import ClusterGCTarget, GarbageCollector, GCInterrupted
 from repro.registry.registry import Registry
 from repro.synth.churn import ChurnEngine, ChurnParams
-from repro.util.digest import sha256_bytes
 from repro.util.journal import JournalFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,20 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: in the past (older than any grace window), far enough from overflow
 #: that TTL arithmetic stays exact.
 VIRTUAL_EPOCH_START = 2_000_000_000.0
-
-
-class VirtualClock:
-    """A manually-advanced clock shared by every registry in the exercise."""
-
-    def __init__(self, start: float = VIRTUAL_EPOCH_START):
-        self.t = start
-
-    def now(self) -> float:
-        return self.t
-
-    def advance(self, seconds: float) -> float:
-        self.t += seconds
-        return self.t
 
 
 class ReplicaSetWriter:
@@ -135,8 +123,12 @@ class ReplicaSetWriter:
 
 
 @dataclass
-class ChurnReport:
+class ChurnReport(ExerciseReport):
     """Everything one :func:`run_churn` exercise measured and asserted."""
+
+    #: wall-clock duration, and frontend routing stats (which depend on
+    #: health-probe timing)
+    VOLATILE = ("duration_s", "frontend")
 
     seed: int
     epochs: int
@@ -154,53 +146,9 @@ class ChurnReport:
     availability: dict = field(default_factory=dict)
     sync_totals: dict = field(default_factory=dict)
     frontend: dict = field(default_factory=dict)
-    invariants: list[Invariant] = field(default_factory=list)
     duration_s: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "replicas": self.replicas,
-            "sharded": self.sharded,
-            "k": self.k,
-            "scale": self.scale,
-            "kill_after": self.kill_after,
-            "kill_epoch": self.kill_epoch,
-            "params": self.params,
-            "epoch_rows": self.epoch_rows,
-            "crash": self.crash,
-            "totals": self.totals,
-            "availability": self.availability,
-            "sync_totals": self.sync_totals,
-            "frontend": self.frontend,
-            "invariants": [inv.to_dict() for inv in self.invariants],
-            "duration_s": self.duration_s,
-            "ok": self.ok,
-        }
-
-    def seeded_core(self) -> dict:
-        """The deterministic subset: identical for identical seeds.
-
-        Wall-clock duration and frontend routing stats (which depend on
-        health-probe timing) are excluded; everything here is a pure
-        function of the seed and the run parameters.
-        """
-        doc = self.to_dict()
-        for volatile in ("duration_s", "frontend"):
-            doc.pop(volatile)
-        return doc
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
+    def lines(self) -> list[str]:
         mode = f"sharded k={self.k}" if self.sharded else "replicated"
         lines = [
             f"churn exercise: seed={self.seed}, {self.epochs} epochs over "
@@ -236,13 +184,7 @@ class ChurnReport:
             f"{self.availability.get('unreadable', 0)} unreadable"
         )
         lines.append("invariants:")
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(f"  [{mark}] {inv.name}: {inv.detail}")
-        lines.append(
-            "verdict: " + ("all invariants hold" if self.ok else "INVARIANT VIOLATED")
-        )
-        return "\n".join(lines)
+        return lines
 
 
 class _ShadowTarget:
@@ -258,37 +200,16 @@ class _ShadowTarget:
         pass
 
 
-def _availability_sweep(
-    session, live_tags: dict[str, dict[str, str]], *, cap: int = 25
-) -> dict:
-    """Read a deterministic sample of live tags through the frontend.
-
-    Every sampled manifest is fetched by tag and each of its layers by
-    digest, verified against its hash — the "no tagged blob is ever
-    unreadable" ground truth, measured from the client side.
-    """
+def _sampled_tags(
+    live_tags: dict[str, dict[str, str]], *, cap: int = 25
+) -> list[tuple[str, str]]:
+    """A deterministic, evenly-strided sample of at most *cap* live
+    ``(repo, tag)`` pairs for the per-epoch availability sweep."""
     pairs = sorted(
         (repo, tag) for repo, tags in live_tags.items() for tag in tags
     )
     stride = max(1, len(pairs) // cap)
-    checked = unreadable = 0
-    for repo, tag in pairs[::stride][:cap]:
-        checked += 1
-        try:
-            manifest = session.get_manifest(repo, tag)
-        except Exception:
-            unreadable += 1
-            continue
-        for digest in manifest.layer_digests:
-            checked += 1
-            try:
-                blob = session.get_blob(digest)
-            except Exception:
-                unreadable += 1
-                continue
-            if sha256_bytes(blob) != digest:
-                unreadable += 1
-    return {"checked": checked, "unreadable": unreadable}
+    return pairs[::stride][:cap]
 
 
 def _cluster_holds(replica_set: RegistryReplicaSet, digest: str) -> bool:
@@ -320,9 +241,6 @@ def run_churn(
     ``grace_s`` defaults to 1.5 epochs — one full epoch of death plus
     margin, so an orphan is swept two epochs after it appears.
     """
-    from repro.registry.http import HTTPSession
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
-
     if replicas is None:
         replicas = 4 if sharded else 3
     if replicas < 2:
@@ -340,26 +258,8 @@ def run_churn(
         kill_epoch = min(max(3, epochs // 2 + 1), epochs)
 
     t0 = time.perf_counter()
-    clock = VirtualClock()
-    metrics = MetricsRegistry()
-    config = getattr(SyntheticHubConfig, scale)(seed=seed)
-    dataset = generate_dataset(config)
-    source, _truth = materialize_registry(dataset, fail_share=0.0, seed=seed)
-
-    if sharded:
-        replica_set: RegistryReplicaSet = ShardedReplicaSet.from_source(
-            source, replicas, k=k, vnodes=vnodes, seed=seed,
-            metrics=metrics, clock=clock.now,
-        )
-    else:
-        replica_set = RegistryReplicaSet.from_source(
-            source, replicas, metrics=metrics, clock=clock.now
-        )
-    replica_set.start_all()
-    engine = ChurnEngine.from_registry(
-        replica_set.replicas[0].registry, seed=seed, params=params
-    )
-    writer = ReplicaSetWriter(replica_set)
+    clock = VirtualClock(start=VIRTUAL_EPOCH_START)
+    hub = seeded_hub(scale, seed)
 
     report = ChurnReport(
         seed=seed, epochs=epochs, replicas=replicas, sharded=sharded,
@@ -382,10 +282,6 @@ def run_churn(
     live_blob_overlap = 0  # swept ∩ live, accumulated — must stay 0
     resurrected = 0  # swept digests seen on any replica after a sync
     staged_survived_grace = False
-    monitor = HealthMonitor(
-        replica_set.endpoints(), eject_after=2, reinstate_after=2, metrics=metrics
-    )
-    route = replica_set.route if sharded else None
 
     def consume(gc_report: "GCReport") -> None:
         nonlocal bytes_reclaimed
@@ -394,12 +290,15 @@ def run_churn(
         bytes_reclaimed += gc_report.bytes_reclaimed
 
     with tempfile.TemporaryDirectory(prefix="repro-churn-gc-") as gc_dir, \
-            FailoverFrontend(
-                replica_set.endpoints(), monitor=monitor, seed=seed,
-                route=route, metrics=metrics,
-            ) as frontend:
+            serving_cluster(
+                hub.registry, replicas=replicas, k=k if sharded else None,
+                vnodes=vnodes, seed=seed, clock=clock.now,
+            ) as (replica_set, monitor, frontend, session, metrics):
+        engine = ChurnEngine.from_registry(
+            replica_set.replicas[0].registry, seed=seed, params=params
+        )
+        writer = ReplicaSetWriter(replica_set)
         journal = JournalFile(Path(gc_dir) / "gc.json")
-        session = HTTPSession(frontend.base_url, timeout=5.0)
 
         def collector() -> GarbageCollector:
             # a *fresh* collector per pass: continuity must live in the
@@ -409,6 +308,14 @@ def run_churn(
                 journal=journal, metrics=metrics,
                 protected=lambda: set(protected),
             )
+
+        def sweep() -> None:
+            counts = availability_sweep(
+                session, tags=_sampled_tags(engine.live_tags())
+            )
+            availability["checked"] += counts["checked"]
+            availability["unreadable"] += counts["unreadable"]
+            availability["sweeps"] += 1
 
         for epoch in range(1, epochs + 1):
             clock.advance(epoch_seconds)
@@ -447,10 +354,7 @@ def run_churn(
             if staged_digest and staged_digest in protected:
                 staged_survived_grace = _cluster_holds(replica_set, staged_digest)
 
-            sweep = _availability_sweep(session, engine.live_tags())
-            availability["checked"] += sweep["checked"]
-            availability["unreadable"] += sweep["unreadable"]
-            availability["sweeps"] += 1
+            sweep()
 
             report.epoch_rows.append(
                 {
@@ -489,10 +393,7 @@ def run_churn(
         # idempotence: with nothing orphaned since the drain, GC is a no-op
         idle_report = collector().collect()
 
-        sweep = _availability_sweep(session, engine.live_tags())
-        availability["checked"] += sweep["checked"]
-        availability["unreadable"] += sweep["unreadable"]
-        availability["sweeps"] += 1
+        sweep()
 
         # metadata convergence: every replica ends at the engine's state
         expected_tags = engine.live_tags()
@@ -523,8 +424,6 @@ def run_churn(
         else:
             placement_audit = {}
         report.frontend = dict(frontend.stats)
-
-    replica_set.stop_all()
 
     report.availability = availability
     report.sync_totals = {"resurrections_prevented": resurrections_prevented}

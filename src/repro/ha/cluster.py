@@ -35,20 +35,30 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.exercise import (
+    ExerciseReport,
+    Invariant,
+    blob_error,
+    phase_totals,
+    pull_ops,
+    pull_phase,
+    seeded_hub,
+    served_invariants,
+    serving_cluster,
+)
 from repro.faults import FaultInjector, FaultRule, corrupt_at_rest, corrupt_some_at_rest
-from repro.faults.chaos import Invariant
 from repro.ha.admission import AdmissionGate, ServerLimits, TokenBucketLimiter
-from repro.ha.frontend import FailoverFrontend
 from repro.ha.health import LIVE, HealthMonitor
-from repro.ha.replica import RegistryReplicaSet
 from repro.ha.scrub import BlobScrubber
-from repro.obs import MetricsRegistry, counter_total
-from repro.util.digest import sha256_bytes
+from repro.obs import counter_total
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(ExerciseReport):
     """What one :func:`run_cluster` exercise measured and asserted."""
+
+    #: wall-clock duration, and per-replica URLs with ephemeral ports
+    VOLATILE = ("duration_s", "health", "frontend")
 
     seed: int
     replicas: int
@@ -65,59 +75,15 @@ class ClusterReport:
     placement: dict = field(default_factory=dict)
     frontend: dict = field(default_factory=dict)
     health: list[dict] = field(default_factory=list)
-    invariants: list[Invariant] = field(default_factory=list)
     duration_s: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
     def totals(self) -> dict[str, int]:
-        out = {"attempted": 0, "succeeded": 0, "failed": 0, "corrupt": 0, "retries": 0}
-        for counts in self.phases.values():
-            for key in out:
-                out[key] += counts[key]
-        return out
+        return phase_totals(self.phases)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "requests": self.requests,
-            "phases": self.phases,
-            "totals": self.totals(),
-            "killed": self.killed,
-            "corrupted": self.corrupted,
-            "degraded_write": self.degraded_write,
-            "scrub": self.scrub,
-            "sync": self.sync,
-            "divergence": self.divergence,
-            "placement": self.placement,
-            "frontend": self.frontend,
-            "health": self.health,
-            "invariants": [inv.to_dict() for inv in self.invariants],
-            "duration_s": self.duration_s,
-            "ok": self.ok,
-        }
+    def computed(self) -> dict:
+        return {"totals": self.totals()}
 
-    def seeded_core(self) -> dict:
-        """The deterministic subset: identical for identical seeds.
-
-        Wall-clock artifacts (duration, per-replica URLs with ephemeral
-        ports) are excluded; everything here is a pure function of the
-        seed and the run parameters.
-        """
-        doc = self.to_dict()
-        for volatile in ("duration_s", "health", "frontend"):
-            doc.pop(volatile)
-        return doc
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
+    def lines(self) -> list[str]:
         totals = self.totals()
         lines = [
             f"cluster exercise: seed={self.seed}, {self.replicas} replicas, "
@@ -155,52 +121,7 @@ class ClusterReport:
         success = totals["succeeded"] / totals["attempted"] if totals["attempted"] else 0
         lines.append(f"  GET success {success:8.2%} after retries")
         lines.append("invariants:")
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(f"  [{mark}] {inv.name}: {inv.detail}")
-        lines.append(
-            "verdict: " + ("all invariants hold" if self.ok else "INVARIANT VIOLATED")
-        )
-        return "\n".join(lines)
-
-
-def _pull_phase(session, ops, *, max_attempts: int = 5) -> dict[str, int]:
-    """Run one phase of pulls through *session*, verifying every blob.
-
-    Each op is retried on transient/backpressure errors; a blob whose
-    bytes do not re-hash to its digest counts as ``corrupt`` — the number
-    the zero-corruption invariant is about. The frontend verifies at the
-    edge too; this client-side check is the independent ground truth.
-    """
-    from repro.downloader.session import RateLimitedError, TransientNetworkError
-    from repro.registry.errors import RegistryError
-
-    counts = {"attempted": 0, "succeeded": 0, "failed": 0, "corrupt": 0, "retries": 0}
-    for op in ops:
-        counts["attempted"] += 1
-        for attempt in range(max_attempts):
-            try:
-                if op.kind == "manifest":
-                    session.get_manifest(op.repo, op.tag)
-                else:
-                    blob = session.get_blob(op.digest)
-                    if sha256_bytes(blob) != op.digest:
-                        counts["corrupt"] += 1
-                counts["succeeded"] += 1
-                break
-            except RateLimitedError as exc:
-                counts["retries"] += 1
-                if attempt == max_attempts - 1:
-                    counts["failed"] += 1
-                else:
-                    time.sleep(min(exc.retry_after_s or 0.05, 0.25))
-            except (TransientNetworkError, RegistryError):
-                counts["retries"] += 1
-                if attempt == max_attempts - 1:
-                    counts["failed"] += 1
-                else:
-                    time.sleep(0.02)
-    return counts
+        return lines
 
 
 def run_cluster(
@@ -213,44 +134,26 @@ def run_cluster(
     corrupt_count: int = 2,
 ) -> ClusterReport:
     """The full kill/corrupt/heal exercise; see the module docstring."""
-    from repro.cache import generate_trace
-    from repro.loadgen import requests_from_trace
-    from repro.registry.http import HTTPSession
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
-
     if replicas < 2:
         raise ValueError(f"the exercise needs >= 2 replicas, got {replicas}")
     if not 0 <= kill_index < replicas:
         raise ValueError(f"kill_index {kill_index} out of range for {replicas} replicas")
 
     t0 = time.perf_counter()
-    config = getattr(SyntheticHubConfig, scale)(seed=seed)
-    dataset = generate_dataset(config)
-    source, truth = materialize_registry(dataset, fail_share=0.0, seed=seed)
-    trace = generate_trace(
-        dataset, requests, granularity="image", locality=0.2, seed=seed
-    )
-    ops = requests_from_trace(trace, dataset, truth)
+    hub = seeded_hub(scale, seed)
+    ops = pull_ops(hub, requests)
     third = len(ops) // 3
     phase_ops = {"A:healthy": ops[:third], "B:degraded": ops[third : 2 * third],
                  "C:healed": ops[2 * third :]}
 
-    metrics = MetricsRegistry()
-    replica_set = RegistryReplicaSet.from_source(
-        source, replicas, metrics=metrics
-    ).start_all()
-    endpoints = replica_set.endpoints()
-    monitor = HealthMonitor(
-        endpoints, eject_after=2, reinstate_after=2, metrics=metrics
-    )
     report = ClusterReport(seed=seed, replicas=replicas, requests=len(ops))
     # the replica that rots: any survivor of the kill
     corrupt_index = (kill_index + 1) % replicas
 
-    with FailoverFrontend(endpoints, monitor=monitor, metrics=metrics) as frontend:
-        session = HTTPSession(frontend.base_url, timeout=5.0)
-
-        report.phases["A:healthy"] = _pull_phase(session, phase_ops["A:healthy"])
+    with serving_cluster(hub.registry, replicas=replicas) as (
+        replica_set, monitor, frontend, session, metrics
+    ):
+        report.phases["A:healthy"] = pull_phase(session, phase_ops["A:healthy"])
 
         killed = replica_set.kill(kill_index)
         report.killed = killed.name
@@ -277,7 +180,7 @@ def run_cluster(
         # passively from phase B's first failed-over read
         monitor.probe_all()
 
-        report.phases["B:degraded"] = _pull_phase(session, phase_ops["B:degraded"])
+        report.phases["B:degraded"] = pull_phase(session, phase_ops["B:degraded"])
 
         # a write while one replica is down: the survivors take it, the
         # dead one owes it to anti-entropy
@@ -292,43 +195,28 @@ def run_cluster(
         report.sync = replica_set.sync()
         monitor.probe_until_live(killed.base_url)
 
-        report.phases["C:healed"] = _pull_phase(session, phase_ops["C:healed"])
+        report.phases["C:healed"] = pull_phase(session, phase_ops["C:healed"])
         # the degraded-era write must now be pullable through the frontend
-        healed_blob = session.get_blob(report.degraded_write)
+        write_lost = blob_error(session, report.degraded_write)
 
         report.divergence = replica_set.divergence()
         report.placement = replica_set.placement_report()
         report.frontend = dict(frontend.stats)
         report.health = monitor.snapshot()
 
-    replica_set.stop_all()
     report.duration_s = time.perf_counter() - t0
-    report.invariants = _cluster_invariants(report, monitor, killed.base_url, healed_blob)
+    report.invariants = _cluster_invariants(report, monitor, killed.base_url, write_lost)
     return report
 
 
 def _cluster_invariants(
-    report: ClusterReport, monitor: HealthMonitor, killed_url: str, healed_blob: bytes
+    report: ClusterReport,
+    monitor: HealthMonitor,
+    killed_url: str,
+    write_lost: str | None,
 ) -> list[Invariant]:
-    out: list[Invariant] = []
-    totals = report.totals()
-
-    out.append(
-        Invariant(
-            name="zero_corrupt_served",
-            ok=totals["corrupt"] == 0,
-            detail=f"{totals['corrupt']} corrupt blobs reached a client "
-            f"({report.frontend.get('corrupt_blocked', 0)} blocked at the edge)",
-        )
-    )
-    success = totals["succeeded"] / totals["attempted"] if totals["attempted"] else 0.0
-    out.append(
-        Invariant(
-            name="get_success_after_retries",
-            ok=success >= 0.99,
-            detail=f"{totals['succeeded']}/{totals['attempted']} = {success:.2%} "
-            f"(needs >= 99%) with {totals['retries']} retries",
-        )
+    out = served_invariants(
+        report.totals(), report.frontend.get("corrupt_blocked", 0)
     )
     out.append(
         Invariant(
@@ -361,16 +249,20 @@ def _cluster_invariants(
     out.append(
         Invariant(
             name="degraded_write_survived",
-            ok=sha256_bytes(healed_blob) == report.degraded_write,
-            detail=f"blob {report.degraded_write[:19]}… written during the "
-            f"outage pulls correctly after heal",
+            ok=write_lost is None,
+            detail=f"blob {report.degraded_write[:19]}… written during the outage "
+            + (
+                "pulls correctly after heal"
+                if write_lost is None
+                else f"is LOST after heal: {write_lost}"
+            ),
         )
     )
     return out
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(ExerciseReport):
     """What :func:`run_overload` measured on a limits-protected server."""
 
     seed: int
@@ -384,35 +276,8 @@ class OverloadReport:
     server_p99_s: float = 0.0
     p99_bound_s: float = 0.0
     duration_s: float = 0.0
-    invariants: list[Invariant] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "requests": self.requests,
-            "arrival_rate_rps": self.arrival_rate_rps,
-            "max_concurrent": self.max_concurrent,
-            "completed": self.completed,
-            "shed_client": self.shed_client,
-            "shed_server": self.shed_server,
-            "rate_limited_server": self.rate_limited_server,
-            "server_p99_s": self.server_p99_s,
-            "p99_bound_s": self.p99_bound_s,
-            "duration_s": self.duration_s,
-            "invariants": [inv.to_dict() for inv in self.invariants],
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
+    def lines(self) -> list[str]:
         lines = [
             f"overload exercise: seed={self.seed}, {self.requests} requests at "
             f"{self.arrival_rate_rps:.0f}/s against {self.max_concurrent} slots",
@@ -424,13 +289,7 @@ class OverloadReport:
             f"(bound {self.p99_bound_s * 1e3:.1f} ms)",
         ]
         lines.append("invariants:")
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(f"  [{mark}] {inv.name}: {inv.detail}")
-        lines.append(
-            "verdict: " + ("all invariants hold" if self.ok else "INVARIANT VIOLATED")
-        )
-        return "\n".join(lines)
+        return lines
 
 
 def run_overload(
@@ -455,19 +314,12 @@ def run_overload(
     ``queue_timeout + service + slack`` — overload bent throughput, not
     latency.
     """
-    from repro.cache import generate_trace
-    from repro.loadgen import LoadConfig, LoadGenerator, requests_from_trace
+    from repro.loadgen import LoadConfig, LoadGenerator
     from repro.registry.http import HTTPSession, RegistryHTTPServer
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
 
     t0 = time.perf_counter()
-    config = SyntheticHubConfig.tiny(seed=seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(dataset, fail_share=0.0, seed=seed)
-    trace = generate_trace(
-        dataset, requests, granularity="layer", locality=0.2, seed=seed
-    )
-    ops = requests_from_trace(trace, dataset, truth)
+    hub = seeded_hub("tiny", seed)
+    ops = pull_ops(hub, requests, granularity="layer")
 
     limits = ServerLimits(
         gate=AdmissionGate(
@@ -485,7 +337,7 @@ def run_overload(
         seed=seed,
     )
     server = RegistryHTTPServer(
-        registry, fault_injector=injector, limits=limits
+        hub.registry, fault_injector=injector, limits=limits
     ).start()
     try:
         load = LoadGenerator(HTTPSession(server.base_url, timeout=10.0)).run(

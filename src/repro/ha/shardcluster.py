@@ -38,16 +38,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.exercise import (
+    ExerciseReport,
+    Invariant,
+    availability_sweep,
+    blob_error,
+    phase_totals,
+    pull_ops,
+    pull_phase,
+    seeded_hub,
+    served_invariants,
+    serving_cluster,
+)
 from repro.faults.atrest import corrupt_shard_at_rest
-from repro.faults.chaos import Invariant
 from repro.faults.events import plan_shard_events
-from repro.ha.cluster import _pull_phase
-from repro.ha.frontend import FailoverFrontend
-from repro.ha.health import LIVE, HealthMonitor
+from repro.ha.health import LIVE
 from repro.ha.ring import DEFAULT_VNODES
 from repro.ha.scrub import BlobScrubber
-from repro.ha.sharded import ShardedReplicaSet
-from repro.obs import MetricsRegistry
 from repro.util.digest import sha256_bytes
 
 #: a sharded cluster must realize at least this fraction of the ideal
@@ -56,8 +63,12 @@ CAPACITY_EFFICIENCY = 0.83
 
 
 @dataclass
-class ShardedClusterReport:
+class ShardedClusterReport(ExerciseReport):
     """What one :func:`run_sharded_cluster` exercise measured and asserted."""
+
+    #: wall-clock duration, and port-bearing state (frontend stats, health
+    #: snapshots keyed by URL)
+    VOLATILE = ("duration_s", "health", "frontend")
 
     seed: int
     replicas: int
@@ -86,74 +97,23 @@ class ShardedClusterReport:
     placement: dict = field(default_factory=dict)
     frontend: dict = field(default_factory=dict)
     health: list[dict] = field(default_factory=list)
-    invariants: list[Invariant] = field(default_factory=list)
     duration_s: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
     def totals(self) -> dict[str, int]:
-        out = {"attempted": 0, "succeeded": 0, "failed": 0, "corrupt": 0, "retries": 0}
-        for counts in self.phases.values():
-            for key in out:
-                out[key] += counts[key]
-        return out
+        return phase_totals(self.phases)
 
-    def to_dict(self) -> dict:
+    def computed(self) -> dict:
         return {
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "k": self.k,
-            "vnodes": self.vnodes,
-            "requests": self.requests,
-            "phases": self.phases,
             "totals": self.totals(),
-            "events": self.events,
-            "killed": self.killed,
-            "corrupted": self.corrupted,
-            "flapped": self.flapped,
-            "joined": self.joined,
-            "left": self.left,
-            "degraded_write": self.degraded_write,
-            "hints_parked": self.hints_parked,
-            "availability": self.availability,
-            "scrub": self.scrub,
-            "sync": self.sync,
-            "rebalance": self.rebalance,
-            "divergence": self.divergence,
             "audit": {
                 "blobs": self.audit.get("blobs", 0),
                 "missing": len(self.audit.get("missing", [])),
                 "strays": len(self.audit.get("strays", [])),
                 "matches_ring": self.audit.get("matches_ring", False),
             },
-            "placement": self.placement,
-            "frontend": self.frontend,
-            "health": self.health,
-            "invariants": [inv.to_dict() for inv in self.invariants],
-            "duration_s": self.duration_s,
-            "ok": self.ok,
         }
 
-    def seeded_core(self) -> dict:
-        """The deterministic subset: byte-identical for identical seeds.
-
-        Wall-clock artifacts (duration) and port-bearing state (frontend
-        stats, health snapshots keyed by URL) are excluded; everything
-        here is a pure function of the seed and the run parameters.
-        """
-        doc = self.to_dict()
-        for volatile in ("duration_s", "health", "frontend"):
-            doc.pop(volatile)
-        return doc
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
+    def lines(self) -> list[str]:
         totals = self.totals()
         ideal = self.replicas / self.k if self.k else 0
         lines = [
@@ -205,31 +165,7 @@ class ShardedClusterReport:
         success = totals["succeeded"] / totals["attempted"] if totals["attempted"] else 0
         lines.append(f"  GET success {success:8.2%} after retries")
         lines.append("invariants:")
-        for inv in self.invariants:
-            mark = "ok " if inv.ok else "FAIL"
-            lines.append(f"  [{mark}] {inv.name}: {inv.detail}")
-        lines.append(
-            "verdict: " + ("all invariants hold" if self.ok else "INVARIANT VIOLATED")
-        )
-        return "\n".join(lines)
-
-
-def _availability_sweep(session, cluster: ShardedReplicaSet) -> dict:
-    """Read every placed blob through the frontend; count the unreadable.
-
-    Run while one owner is dead: the k-1 surviving owners (or the hinted
-    successor) must keep every single blob servable."""
-    checked = unreadable = 0
-    for digest in sorted(cluster.placement()):
-        checked += 1
-        try:
-            data = session.get_blob(digest)
-        except Exception:
-            unreadable += 1
-            continue
-        if sha256_bytes(data) != digest:
-            unreadable += 1
-    return {"checked": checked, "unreadable": unreadable}
+        return lines
 
 
 def run_sharded_cluster(
@@ -244,11 +180,6 @@ def run_sharded_cluster(
 ) -> ShardedClusterReport:
     """The full sharded kill/rot/flap/join/leave exercise; see the module
     docstring for the phase script."""
-    from repro.cache import generate_trace
-    from repro.loadgen import requests_from_trace
-    from repro.registry.http import HTTPSession
-    from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
-
     if replicas < 4:
         raise ValueError(
             f"the sharded exercise needs >= 4 replicas for distinct fault "
@@ -258,13 +189,8 @@ def run_sharded_cluster(
         raise ValueError(f"need 1 <= k < replicas, got k={k}, replicas={replicas}")
 
     t0 = time.perf_counter()
-    config = getattr(SyntheticHubConfig, scale)(seed=seed)
-    dataset = generate_dataset(config)
-    source, truth = materialize_registry(dataset, fail_share=0.0, seed=seed)
-    trace = generate_trace(
-        dataset, requests, granularity="image", locality=0.2, seed=seed
-    )
-    ops = requests_from_trace(trace, dataset, truth)
+    hub = seeded_hub(scale, seed)
+    ops = pull_ops(hub, requests)
     quarter = len(ops) // 4
     phase_ops = {
         "A:healthy": ops[:quarter],
@@ -272,37 +198,23 @@ def run_sharded_cluster(
         "C:flapping": ops[2 * quarter : 3 * quarter],
         "D:resharded": ops[3 * quarter :],
     }
-
-    metrics = MetricsRegistry()
-    cluster = ShardedReplicaSet.from_source(
-        source, replicas, k=k, vnodes=vnodes, seed=seed, metrics=metrics
-    ).start_all()
-    monitor = HealthMonitor(
-        cluster.endpoints(), eject_after=2, reinstate_after=2, metrics=metrics
-    )
-    events = plan_shard_events([r.name for r in cluster.replicas], seed=seed)
-    by_kind = {event.kind: event for event in events}
-    kill_name = by_kind["kill"].target
-    corrupt_name = by_kind["corrupt"].target
-    flap_name = by_kind["flap"].target
-    leave_name = by_kind["leave"].target
-
     report = ShardedClusterReport(
         seed=seed, replicas=replicas, k=k, vnodes=vnodes, requests=len(ops)
     )
-    report.events = [event.to_dict() for event in events]
-    report.placement = cluster.placement_report()
 
-    with FailoverFrontend(
-        cluster.endpoints(),
-        monitor=monitor,
-        seed=seed,
-        route=cluster.route,
-        metrics=metrics,
-    ) as frontend:
-        session = HTTPSession(frontend.base_url, timeout=5.0)
+    with serving_cluster(
+        hub.registry, replicas=replicas, k=k, vnodes=vnodes, seed=seed
+    ) as (cluster, monitor, frontend, session, metrics):
+        events = plan_shard_events([r.name for r in cluster.replicas], seed=seed)
+        by_kind = {event.kind: event for event in events}
+        kill_name = by_kind["kill"].target
+        corrupt_name = by_kind["corrupt"].target
+        flap_name = by_kind["flap"].target
+        leave_name = by_kind["leave"].target
+        report.events = [event.to_dict() for event in events]
+        report.placement = cluster.placement_report()
 
-        report.phases["A:healthy"] = _pull_phase(session, phase_ops["A:healthy"])
+        report.phases["A:healthy"] = pull_phase(session, phase_ops["A:healthy"])
 
         # -- phase B: kill one replica, rot another's shards -------------------
         killed = cluster.replica(kill_name)
@@ -322,10 +234,12 @@ def run_sharded_cluster(
         # (eject_after=2); the second comes passively from a failed read
         monitor.probe_all()
 
-        report.phases["B:degraded"] = _pull_phase(session, phase_ops["B:degraded"])
+        report.phases["B:degraded"] = pull_phase(session, phase_ops["B:degraded"])
 
         # every placed blob must still be servable with an owner down
-        report.availability = _availability_sweep(session, cluster)
+        report.availability = availability_sweep(
+            session, blobs=sorted(cluster.placement())
+        )
 
         # a write whose owner set includes the dead replica: the bytes
         # must park on the ring successor under a hint (sloppy quorum)
@@ -353,7 +267,7 @@ def run_sharded_cluster(
         flapper = cluster.replica(flap_name)
         flapper.kill()
         report.flapped = flap_name
-        report.phases["C:flapping"] = _pull_phase(session, phase_ops["C:flapping"])
+        report.phases["C:flapping"] = pull_phase(session, phase_ops["C:flapping"])
         flapper.restart()
         monitor.probe_until_live(flapper.base_url)
 
@@ -370,9 +284,9 @@ def run_sharded_cluster(
             "leave": leave_report.to_dict(),
         }
 
-        report.phases["D:resharded"] = _pull_phase(session, phase_ops["D:resharded"])
+        report.phases["D:resharded"] = pull_phase(session, phase_ops["D:resharded"])
         # the degraded-era write must survive heal AND both rebalances
-        healed_blob = session.get_blob(report.degraded_write)
+        write_lost = blob_error(session, report.degraded_write)
 
         final_sync = cluster.sync()
         report.sync = {
@@ -388,10 +302,9 @@ def run_sharded_cluster(
             for name in (kill_name, corrupt_name, flap_name)
         }
 
-    cluster.stop_all()
     report.duration_s = time.perf_counter() - t0
     report.invariants = _sharded_invariants(
-        report, states, healed_blob, join_report, leave_report
+        report, states, write_lost, join_report, leave_report
     )
     return report
 
@@ -399,29 +312,12 @@ def run_sharded_cluster(
 def _sharded_invariants(
     report: ShardedClusterReport,
     states: dict[str, str],
-    healed_blob: bytes,
+    write_lost: str | None,
     join_report,
     leave_report,
 ) -> list[Invariant]:
-    out: list[Invariant] = []
-    totals = report.totals()
-
-    out.append(
-        Invariant(
-            name="zero_corrupt_served",
-            ok=totals["corrupt"] == 0,
-            detail=f"{totals['corrupt']} corrupt blobs reached a client "
-            f"({report.frontend.get('corrupt_blocked', 0)} blocked at the edge)",
-        )
-    )
-    success = totals["succeeded"] / totals["attempted"] if totals["attempted"] else 0.0
-    out.append(
-        Invariant(
-            name="get_success_after_retries",
-            ok=success >= 0.99,
-            detail=f"{totals['succeeded']}/{totals['attempted']} = {success:.2%} "
-            f"(needs >= 99%) with {totals['retries']} retries",
-        )
+    out = served_invariants(
+        report.totals(), report.frontend.get("corrupt_blocked", 0)
     )
     out.append(
         Invariant(
@@ -459,10 +355,14 @@ def _sharded_invariants(
     out.append(
         Invariant(
             name="degraded_write_survived",
-            ok=sha256_bytes(healed_blob) == report.degraded_write,
+            ok=write_lost is None,
             detail=f"blob {report.degraded_write[:19]}… written with an owner "
-            f"dead ({report.hints_parked} hint parked) pulls correctly after "
-            f"heal + join + leave",
+            f"dead ({report.hints_parked} hint parked) "
+            + (
+                "pulls correctly after heal + join + leave"
+                if write_lost is None
+                else f"is LOST after heal + join + leave: {write_lost}"
+            ),
         )
     )
     out.append(

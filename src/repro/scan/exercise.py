@@ -15,31 +15,28 @@ Exit code 1 on any violation — this is the CI ``scan-smoke`` job.
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.exercise import ExerciseReport, Invariant, seeded_hub
 from repro.obs import MetricsRegistry, counter_total
 from repro.parallel.pool import ParallelConfig
 from repro.scan.cache import ScanCache
 from repro.scan.report import ScanReport
 from repro.scan.scanner import DedupScanner, targets_from_truth
-from repro.synth.config import SyntheticHubConfig
-from repro.synth.hubgen import generate_dataset
 from repro.synth.lineage import (
     LineageConfig,
     PackageModel,
     SyntheticCveDatabase,
     generate_lineage,
 )
-from repro.synth.materialize import materialize_registry
 
 _MODES = ("serial", "thread", "process")
 
 
 @dataclass
-class ScanExerciseReport:
+class ScanExerciseReport(ExerciseReport):
     """What the selfcheck measured, plus the pass/fail verdict per invariant."""
 
     seed: int
@@ -49,38 +46,23 @@ class ScanExerciseReport:
     n_unique_layers: int
     savings_ratio: float
     warm_extractions: int
-    invariants: dict[str, bool] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
-    def to_dict(self) -> dict:
+    def computed(self) -> dict:
         return {
-            "seed": self.seed,
-            "scale": self.scale,
             "modes": list(self.modes),
-            "n_images": self.n_images,
-            "n_unique_layers": self.n_unique_layers,
             "savings_ratio": round(self.savings_ratio, 4),
-            "warm_extractions": self.warm_extractions,
-            "invariants": dict(sorted(self.invariants.items())),
-            "ok": self.ok,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        lines = [
+    def lines(self) -> list[str]:
+        return [
             f"scan selfcheck (seed {self.seed}, scale {self.scale}): "
             f"{self.n_images} images / {self.n_unique_layers} unique layers, "
             f"savings {self.savings_ratio:.2f}x",
         ]
-        for name, passed in sorted(self.invariants.items()):
-            lines.append(f"  [{'ok' if passed else 'FAIL'}] {name}")
-        lines.append("selfcheck: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
+
+    def render(self) -> str:
+        # the one line the README documents and CI logs are read for
+        return super().render() + "\nselfcheck: " + ("PASS" if self.ok else "FAIL")
 
 
 def run_scan_exercise(
@@ -91,15 +73,9 @@ def run_scan_exercise(
     workers: int | None = None,
 ) -> ScanExerciseReport:
     """Run the full selfcheck; deterministic in *seed*."""
-    config = getattr(SyntheticHubConfig, scale)(seed=seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(
-        dataset,
-        fail_share=config.fail_share,
-        fail_auth_share=config.fail_auth_share,
-        seed=config.seed,
-    )
-    targets = targets_from_truth(registry, truth)
+    hub = seeded_hub(scale, seed, failures=True)
+    registry = hub.registry
+    targets = targets_from_truth(registry, hub.truth)
     lineage = generate_lineage(
         [t.name for t in targets],
         [t.pull_count for t in targets],
@@ -149,19 +125,42 @@ def run_scan_exercise(
         {d for t in targets for d in t.layer_digests}
     )
     naive = sum(len(t.layer_digests) for t in targets)
-    invariants = {
-        "reports_identical_across_modes": len(set(reports.values())) == 1,
-        "unique_scans_equal_unique_digests": (
-            reference.unique_layer_scans == expected_unique
+    scans = reference.unique_layer_scans
+    distinct = len(set(reports.values()))
+    invariants = [
+        Invariant(
+            "reports_identical_across_modes",
+            distinct == 1,
+            f"{distinct} distinct cold report(s) over {', '.join(modes)}",
         ),
-        "savings_ratio_is_naive_over_unique": (
-            reference.savings_ratio * reference.unique_layer_scans == naive
-            and reference.savings_ratio >= 1.0
+        Invariant(
+            "unique_scans_equal_unique_digests",
+            scans == expected_unique,
+            f"{scans} layer scans for {expected_unique} unique digests",
         ),
-        "warm_rerun_zero_extractions": warm_extractions == 0,
-        "warm_findings_identical": warm_json == findings[modes[0]],
-        "no_failed_layers": reference.n_failed_layers == 0,
-    }
+        Invariant(
+            "savings_ratio_is_naive_over_unique",
+            reference.savings_ratio * scans == naive
+            and reference.savings_ratio >= 1.0,
+            f"ratio {reference.savings_ratio:.4f} x {scans} scans vs {naive} "
+            f"naive image-layer scans (and must be >= 1)",
+        ),
+        Invariant(
+            "warm_rerun_zero_extractions",
+            warm_extractions == 0,
+            f"{warm_extractions} layers extracted on the warm rerun",
+        ),
+        Invariant(
+            "warm_findings_identical",
+            warm_json == findings[modes[0]],
+            f"warm findings vs the cold {modes[0]} run, compared as JSON",
+        ),
+        Invariant(
+            "no_failed_layers",
+            reference.n_failed_layers == 0,
+            f"{reference.n_failed_layers} layers failed on a healthy corpus",
+        ),
+    ]
     return ScanExerciseReport(
         seed=seed,
         scale=scale,

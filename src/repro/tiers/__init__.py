@@ -1,6 +1,6 @@
 """Tiered cache hierarchy simulation (client -> edge -> sharded origin)."""
 
-from repro.tiers.exercise import ExerciseReport, run_tiers_exercise
+from repro.tiers.exercise import TiersExerciseReport, run_tiers_exercise
 from repro.tiers.sim import (
     DEFAULT_EDGE_FRACS,
     DEFAULT_POLICIES,
@@ -14,8 +14,8 @@ __all__ = [
     "DEFAULT_EDGE_FRACS",
     "DEFAULT_POLICIES",
     "TIERS_REPORT_VERSION",
-    "ExerciseReport",
     "TiersConfig",
+    "TiersExerciseReport",
     "TiersReport",
     "run_tiers_exercise",
     "simulate_tiers",

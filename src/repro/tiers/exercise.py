@@ -12,43 +12,45 @@ checks the invariants the CI job gates on:
   revalidations and ``206`` ranged blob reads, observed from both the
   server's metrics and the client's accounting.
 
-Any violated invariant lands in ``violations``; the CLI exits non-zero.
+Each of the four is one :class:`~repro.exercise.Invariant` whose ``detail``
+lists what it found wrong; the CLI exits non-zero if any failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exercise import ExerciseReport, Invariant, seeded_hub
 from repro.obs.metrics import counter_total
 from repro.registry.errors import AuthRequiredError
-from repro.tiers.sim import TiersConfig, TiersReport, simulate_tiers
+from repro.tiers.sim import TiersConfig, TiersReport, render_report, simulate_tiers
 
 
 @dataclass
-class ExerciseReport:
+class TiersExerciseReport(ExerciseReport):
+    """The reduced sweep, the live-HTTP counters, and the verdicts on both."""
+
     report: TiersReport
     http_counters: dict[str, float] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def computed(self) -> dict:
+        return {"report": self.report.to_dict()}
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "http_counters": dict(self.http_counters),
-            "report": self.report.to_dict(),
-        }
+    def lines(self) -> list[str]:
+        return render_report(self.report).split("\n")
 
 
-def _check_monotone_offload(report: TiersReport, violations: list[str]) -> None:
+def _invariant(name: str, violations: list[str], checked: str) -> Invariant:
+    return Invariant(name, not violations, "; ".join(violations) or checked)
+
+
+def _check_monotone_offload(report: TiersReport) -> Invariant:
+    violations: list[str] = []
     n = report.config.n_requests
     fracs = sorted(report.config.edge_capacity_fracs)
-    if len(fracs) < 2:
-        return
-    for policy in report.config.policies:
+    # one swept size leaves nothing to compare
+    policies = report.config.policies if len(fracs) >= 2 else ()
+    for policy in policies:
         by_frac = {
             cell.edge_capacity_frac: cell.origin_offload(n)
             for cell in report.cells
@@ -60,11 +62,15 @@ def _check_monotone_offload(report: TiersReport, violations: list[str]) -> None:
                 f"origin offload shrank as {policy} edge caches grew: "
                 f"{smallest:.4f} @ {fracs[0]:.0%} -> {largest:.4f} @ {fracs[-1]:.0%}"
             )
+    return _invariant(
+        "monotonicity", violations,
+        f"no policy's origin offload shrank from the smallest to the largest "
+        f"of {len(fracs)} edge cache sizes",
+    )
 
 
-def _check_report(report: TiersReport, rerun: TiersReport, violations: list[str]) -> None:
-    if report.to_json() != rerun.to_json():
-        violations.append("seeded rerun produced a different report (nondeterminism)")
+def _check_report(report: TiersReport, rerun: TiersReport) -> list[Invariant]:
+    violations: list[str] = []
     if report.n_distinct_clients != report.config.n_clients:
         violations.append(
             f"expected {report.config.n_clients} distinct clients, "
@@ -78,20 +84,29 @@ def _check_report(report: TiersReport, rerun: TiersReport, violations: list[str]
                 f"shard counts disagree with origin total in cell "
                 f"({cell.policy}, {cell.edge_capacity_frac:.0%})"
             )
-    _check_monotone_offload(report, violations)
+    return [
+        Invariant(
+            "determinism", report.to_json() == rerun.to_json(),
+            "the seeded rerun's report, compared byte for byte as JSON",
+        ),
+        _invariant(
+            "coverage", violations,
+            f"all {report.n_distinct_clients} clients seen, shard counts add up "
+            f"in {len(report.cells)} cells, "
+            f"{report.manifest_revalidations_304} manifest 304s in the workload",
+        ),
+        _check_monotone_offload(report),
+    ]
 
 
-def _exercise_http(violations: list[str]) -> dict[str, float]:
+def _exercise_http() -> tuple[dict[str, float], Invariant]:
     """Drive the real 304/206 paths: a caching proxy revalidating a
     manifest over HTTP, and a ranged blob read, verified on both ends."""
     from repro.downloader.proxy import CachingProxySession
     from repro.registry.http import HTTPSession, RegistryHTTPServer
-    from repro.synth.config import SyntheticHubConfig
-    from repro.synth.hubgen import generate_dataset
-    from repro.synth.materialize import materialize_registry
 
-    dataset = generate_dataset(SyntheticHubConfig.tiny(seed=5))
-    registry, _ = materialize_registry(dataset, fail_share=0.0, seed=5)
+    violations: list[str] = []
+    registry = seeded_hub("tiny", 5).registry
     with RegistryHTTPServer(registry) as server:
         session = HTTPSession(server.base_url)
         repo = tag = None
@@ -105,7 +120,7 @@ def _exercise_http(violations: list[str]) -> dict[str, float]:
                 break
         if repo is None:
             violations.append("no public repository to exercise over HTTP")
-            return {}
+            return {}, _invariant("revalidation", violations, "")
         proxy = CachingProxySession(session)
         first = proxy.get_manifest(repo, tag)
         again = proxy.get_manifest(repo, tag)
@@ -134,7 +149,11 @@ def _exercise_http(violations: list[str]) -> dict[str, float]:
         violations.append("server served no 304 (conditional counter is zero)")
     if counters["registry_http_range_partial"] < 1:
         violations.append("server served no 206 (range counter is zero)")
-    return counters
+    return counters, _invariant(
+        "revalidation", violations,
+        f"{repo}:{tag} revalidated via 304 and read by range via 206, seen by "
+        f"client and server alike",
+    )
 
 
 def smoke_config(seed: int = 2017) -> TiersConfig:
@@ -152,14 +171,16 @@ def smoke_config(seed: int = 2017) -> TiersConfig:
     )
 
 
-def run_tiers_exercise(dataset, config: TiersConfig | None = None) -> ExerciseReport:
+def run_tiers_exercise(
+    dataset, config: TiersConfig | None = None
+) -> TiersExerciseReport:
     """Run the reduced sweep + live-HTTP checks; see the module docstring."""
     config = config if config is not None else smoke_config()
-    violations: list[str] = []
     report = simulate_tiers(dataset, config)
     rerun = simulate_tiers(dataset, config)
-    _check_report(report, rerun, violations)
-    http_counters = _exercise_http(violations)
-    return ExerciseReport(
-        report=report, http_counters=http_counters, violations=violations
+    http_counters, revalidation = _exercise_http()
+    return TiersExerciseReport(
+        report=report,
+        http_counters=http_counters,
+        invariants=_check_report(report, rerun) + [revalidation],
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults.chaos import VirtualClock, run_chaos
+from repro.faults.chaos import run_chaos
 
 CHAOS_KWARGS = dict(seed=7, plan="smoke", scale="tiny", requests=120)
 
@@ -10,19 +10,6 @@ CHAOS_KWARGS = dict(seed=7, plan="smoke", scale="tiny", requests=120)
 @pytest.fixture(scope="module")
 def smoke_report():
     return run_chaos(**CHAOS_KWARGS)
-
-
-class TestVirtualClock:
-    def test_sleep_advances(self):
-        clock = VirtualClock()
-        clock.sleep(0.5)
-        clock.sleep(0.25)
-        assert clock.now() == 0.75
-
-    def test_negative_sleep_ignored(self):
-        clock = VirtualClock()
-        clock.sleep(-1.0)
-        assert clock.now() == 0.0
 
 
 class TestInvariants:

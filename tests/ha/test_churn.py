@@ -5,18 +5,6 @@ import json
 import pytest
 
 from repro.ha import run_churn
-from repro.ha.churn import VirtualClock
-
-
-class TestVirtualClock:
-    def test_starts_in_the_future_and_advances(self):
-        import time
-
-        clock = VirtualClock()
-        assert clock.now() > time.time()  # materialization stamps stay older
-        t0 = clock.now()
-        clock.advance(60.0)
-        assert clock.now() == t0 + 60.0
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,14 @@ serve the rotted blob from a healthy peer.
 """
 
 import json
+import socket
+from contextlib import contextmanager
 
 import pytest
 
+import repro.ha.cluster as cluster_module
 from repro.ha.cluster import run_cluster, run_overload
+from repro.util.digest import sha256_bytes
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,60 @@ class TestClusterExercise:
         assert placement["imbalance"] == pytest.approx(1.0)
         assert placement["capacity_ratio"] == pytest.approx(1.0)
         assert "placement" in report.render()
+
+
+@pytest.fixture
+def brought_up(monkeypatch):
+    """Every ``serving_cluster`` tuple ``run_cluster`` opens, as it opens."""
+    seen = []
+    real_serving_cluster = cluster_module.serving_cluster
+
+    @contextmanager
+    def recording(*args, **kwargs):
+        with real_serving_cluster(*args, **kwargs) as parts:
+            seen.append(parts)
+            yield parts
+
+    monkeypatch.setattr(cluster_module, "serving_cluster", recording)
+    return seen
+
+
+class TestFailurePaths:
+    def test_a_raise_mid_exercise_leaks_no_server(self, brought_up, monkeypatch):
+        def exploding_pull_phase(session, ops, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cluster_module, "pull_phase", exploding_pull_phase)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cluster(seed=5, replicas=3, requests=12)
+        (replica_set, _monitor, frontend, _session, _metrics), = brought_up
+        assert [replica.alive for replica in replica_set.replicas] == [False] * 3
+        for port in [frontend.port] + [r._port for r in replica_set.replicas]:
+            with pytest.raises(OSError):
+                socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+
+    def test_a_lost_degraded_write_fails_its_invariant(self, brought_up, monkeypatch):
+        """The write must be *reported* lost (exit 1), not crash the run."""
+        digest = sha256_bytes(b"written-while-degraded seed=5")
+        real_pull_phase = cluster_module.pull_phase
+        phases = []
+
+        def dropping_pull_phase(session, ops, **kwargs):
+            phases.append(len(ops))
+            if len(phases) == 3:  # phase C: after the write, the heal and sync()
+                for replica in brought_up[0][0].replicas:
+                    assert replica.registry.blobs.has(digest)
+                    replica.registry.blobs.delete(digest)
+            return real_pull_phase(session, ops, **kwargs)
+
+        monkeypatch.setattr(cluster_module, "pull_phase", dropping_pull_phase)
+        report = run_cluster(seed=5, replicas=3, requests=12, corrupt_count=1)
+        assert report.degraded_write == digest
+        assert report.ok is False
+        failed = [inv for inv in report.invariants if not inv.ok]
+        assert [inv.name for inv in failed] == ["degraded_write_survived"]
+        assert "BlobNotFoundError" in failed[0].detail
+        assert "INVARIANT VIOLATED" in report.render()
 
 
 class TestOverloadExercise:

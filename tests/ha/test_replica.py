@@ -186,7 +186,7 @@ class TickingClock:
 
     Starts in the future (the `seeded_registry` fixture stamps with real
     wall time) so a deletion always beats the seed pushes — the same trick
-    `repro.ha.churn.VirtualClock` uses."""
+    `repro.ha.churn.VIRTUAL_EPOCH_START` plays."""
 
     def __init__(self, t: float = 2_000_000_000.0):
         self.t = t

@@ -165,7 +165,11 @@ class TestExercise:
 
         config = smoke_config(seed=11)
         exercise = run_tiers_exercise(dataset, config)
-        assert exercise.ok, exercise.violations
+        failed = [inv for inv in exercise.invariants if not inv.ok]
+        assert exercise.ok and not failed, failed
+        assert [inv.name for inv in exercise.invariants] == [
+            "determinism", "coverage", "monotonicity", "revalidation",
+        ]
         assert exercise.http_counters["registry_http_conditional_not_modified"] >= 1
         assert exercise.http_counters["registry_http_range_partial"] >= 1
         assert exercise.report.n_distinct_clients == config.n_clients
