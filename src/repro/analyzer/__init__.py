@@ -1,4 +1,8 @@
-"""The analyzer: decompress layers, build layer/image profiles (§III-C)."""
+"""The analyzer: decompress layers, build layer/image profiles (§III-C).
+
+:mod:`repro.analyzer.shard` is the layer-work engine — shard, worker loop,
+partitioner and driver — that the scanner (:mod:`repro.scan`) runs on too.
+"""
 
 from repro.analyzer.analyzer import AnalysisResult, Analyzer
 from repro.analyzer.cache import ProfileCache, ProfileCacheStats
@@ -14,9 +18,11 @@ from repro.analyzer.profiles import (
 )
 from repro.analyzer.shard import (
     LayerShard,
-    ShardProfileResult,
+    ShardResult,
     build_shards,
+    map_layers,
     profile_shard,
+    run_shard,
 )
 
 __all__ = [
@@ -30,10 +36,12 @@ __all__ = [
     "ProfileCache",
     "ProfileCacheStats",
     "ProfileStore",
-    "ShardProfileResult",
+    "ShardResult",
     "build_shards",
     "extract_and_profile",
     "layer_profile_from_json",
     "layer_profile_to_json",
+    "map_layers",
     "profile_shard",
+    "run_shard",
 ]

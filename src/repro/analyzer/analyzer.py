@@ -4,28 +4,28 @@ Mirrors §III-C's two-phase structure: layers are extracted/profiled once
 (in parallel — extraction and hashing are the CPU cost), image profiles are
 then assembled from manifest metadata plus pointers to the layer profiles.
 
-The layer phase is sharded: unique digests (minus profile-cache hits) are
-partitioned into size-balanced batches (:func:`~repro.analyzer.shard
-.build_shards`), dispatched through :func:`~repro.parallel.pool.map_shards`
-to the module-level worker :func:`~repro.analyzer.shard.profile_shard` —
-picklable, so ``mode="process"`` genuinely fans extraction out over cores —
-and merged back deterministically in first-seen digest order, so serial,
-thread, and process runs produce byte-identical datasets.
+The layer phase is sharded: unique digests (minus profile-cache hits) go
+through the shared layer-work engine (:func:`~repro.analyzer.shard
+.map_layers`) with the module-level worker :func:`~repro.analyzer.shard
+.profile_shard` — picklable, so ``mode="process"`` genuinely fans
+extraction out over cores — and are merged back deterministically in
+first-seen digest order, so serial, thread, and process runs produce
+byte-identical datasets. The cache lookup, the cache write and the
+``analyzer_*`` metrics are this module's own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.analyzer.cache import ProfileCache
 from repro.analyzer.profiles import ImageProfile, LayerProfile, ProfileStore
-from repro.analyzer.shard import build_shards, profile_shard
+from repro.analyzer.shard import map_layers, profile_shard
 from repro.downloader.downloader import DownloadedImage
 from repro.filetypes.catalog import TypeCatalog, default_catalog
 from repro.model.dataset import HubDataset
 from repro.obs import MetricsRegistry
-from repro.parallel.pool import ParallelConfig, map_shards
+from repro.parallel.pool import ParallelConfig
 from repro.registry.blobstore import BlobStore
 
 
@@ -43,15 +43,9 @@ class AnalysisResult:
 
     store: ProfileStore
     dataset: HubDataset
-    failed_layers: dict[str, str] = None  # type: ignore[assignment]
-    skipped_images: list[str] = None  # type: ignore[assignment]
+    failed_layers: dict[str, str] = field(default_factory=dict)
+    skipped_images: list[str] = field(default_factory=list)
     cache_stats: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.failed_layers is None:
-            self.failed_layers = {}
-        if self.skipped_images is None:
-            self.skipped_images = []
 
     @property
     def n_layers(self) -> int:
@@ -157,7 +151,6 @@ class Analyzer:
         """Resolve every digest to a profile (cache first, then sharded
         extraction) or a failure reason."""
         profiles: dict[str, LayerProfile] = {}
-        failed: dict[str, str] = {}
 
         to_profile: list[str] = []
         for digest in digests:
@@ -175,29 +168,21 @@ class Analyzer:
                 "analyzer_cache_misses_total", "layers that required extraction"
             ).inc(len(to_profile))
         if not to_profile:
-            return profiles, failed
+            return profiles, {}
 
-        n_shards = max(1, math.ceil(len(to_profile) / self.parallel.chunk_size))
-        shards, missing = build_shards(
-            self.blobs, to_profile, n_shards, catalog=self.catalog
+        extracted, failed = map_layers(
+            profile_shard,
+            self.blobs,
+            to_profile,
+            self.parallel,
+            # the process-wide default is rebuilt worker-side, not shipped
+            None if self.catalog is default_catalog() else self.catalog,
+            metrics=self.metrics,
         )
-        failed.update(missing)
-
-        for outcome in map_shards(
-            profile_shard, shards, self.parallel, metrics=self.metrics
-        ):
-            if not outcome.ok:
-                # the whole shard died (broken pool, unpicklable result);
-                # every layer it carried is accounted for, not lost
-                for digest in shards[outcome.index].digests:
-                    failed[digest] = f"shard failed: {outcome.error}"
-                continue
-            result = outcome.value
-            failed.update(result.failures)
-            for profile in result.profiles:
-                profiles[profile.digest] = profile
-                if self.cache is not None:
-                    self.cache.put(profile)
+        profiles.update(extracted)
+        if self.cache is not None:
+            for profile in extracted.values():
+                self.cache.put(profile)
 
         self.metrics.counter(
             "analyzer_layers_profiled_total", "layers extracted and profiled"

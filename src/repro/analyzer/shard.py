@@ -1,14 +1,24 @@
-"""The module-level, picklable shard worker for layer profiling.
+"""The layer-work engine: how a list of layer digests becomes per-layer results.
 
-``Analyzer.analyze`` used to hand a local closure to ``parallel_map``,
-which worked for threads and crashed with ``PicklingError`` the moment
-``ParallelConfig(mode="process")`` — the documented mode for CPU-bound
-extraction — was selected. This module is the fix: profiling work travels
-as plain data (:class:`LayerShard`), the worker (:func:`profile_shard`)
-is a module-level function any ``ProcessPoolExecutor`` can import on the
-other side, and results come back as plain data
-(:class:`ShardProfileResult`) with per-layer failures captured instead of
-raised, so one corrupt tarball cannot kill a shard of healthy ones.
+Both consumers of "once per unique layer" — the analyzer (profiles) and the
+vulnerability scanner (package inventories) — run through this module:
+
+* work travels as plain data (:class:`LayerShard`) and comes back as plain
+  data (:class:`ShardResult`), so ``ParallelConfig(mode="process")`` — the
+  documented mode for CPU-bound extraction — can pickle both ways;
+* :func:`run_shard` is the one per-layer loop: it calls
+  ``per_layer(digest, blob, context)`` for every layer and captures a
+  failure as data instead of raising, so one corrupt tarball cannot kill a
+  shard of healthy ones;
+* :func:`build_shards` is the one size-weighted partitioner;
+* :func:`map_layers` is the one driver: shard count → :func:`build_shards`
+  → :func:`~repro.parallel.pool.map_shards` → dead-shard accounting →
+  values and failures by digest. Cache lookups, cache writes and metric
+  names stay with the callers.
+
+The workers handed to a pool are module-level functions, each one call of
+:func:`run_shard`: :func:`profile_shard` here,
+:func:`repro.scan.shard.scan_shard` for the scanner.
 
 Two transports for the blob bytes:
 
@@ -21,31 +31,36 @@ Two transports for the blob bytes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.analyzer.extract import extract_and_profile
-from repro.analyzer.profiles import LayerProfile
-from repro.filetypes.catalog import TypeCatalog, default_catalog
+from repro.obs import MetricsRegistry
 from repro.parallel.partition import partition_work
+from repro.parallel.pool import ParallelConfig, map_shards
 from repro.registry.blobstore import BlobStore, DiskBlobStore
+from repro.registry.errors import BlobNotFoundError
+from repro.util.digest import DigestError
 
 
 @dataclass(frozen=True)
 class LayerShard:
-    """One batch of layer-profiling work, shippable across processes.
+    """One batch of per-layer work, shippable across processes.
 
     Exactly one blob transport is populated: ``blobs`` (payload bytes
     aligned with ``digests``) or ``blob_root`` (a DiskBlobStore root the
-    worker reads from). ``catalog`` is ``None`` for the process-wide
-    default catalog — the worker rebuilds it locally instead of unpickling
-    a copy per shard.
+    worker reads from). ``context`` is the fixed third argument of the
+    per-layer function: the analyzer's non-default ``TypeCatalog`` (``None``
+    for the process-wide default, which the worker rebuilds locally instead
+    of unpickling a copy per shard), the scanner's ``PackageModel``.
     """
 
     index: int
     digests: tuple[str, ...]
     blobs: tuple[bytes, ...] | None = None
     blob_root: str | None = None
-    catalog: TypeCatalog | None = None
+    context: Any = None
 
     def __post_init__(self) -> None:
         if (self.blobs is None) == (self.blob_root is None):
@@ -60,44 +75,51 @@ class LayerShard:
 
 
 @dataclass
-class ShardProfileResult:
-    """What one shard produced: profiles for the layers that extracted,
-    an error string per layer that did not. ``profiles`` keeps the shard's
-    digest order; global ordering is the merger's job."""
+class ShardResult:
+    """What one shard produced: a value per layer that extracted, an error
+    string per layer that did not. ``values`` keeps the shard's digest
+    order; global ordering is the merger's job."""
 
     index: int
-    profiles: list[LayerProfile] = field(default_factory=list)
+    values: dict[str, Any] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
 
 
-def profile_shard(shard: LayerShard) -> ShardProfileResult:
-    """Profile every layer in *shard*; never raises for a bad layer.
+def run_shard(
+    shard: LayerShard, per_layer: Callable[[str, bytes, Any], Any]
+) -> ShardResult:
+    """Apply *per_layer* to every layer in *shard*; never raises for a bad
+    layer.
 
-    The per-layer measurement is :func:`~repro.analyzer.extract
-    .extract_and_profile`; a layer whose blob is missing, whose gzip is
-    corrupt, or whose tar is malformed lands in ``failures`` as
-    ``"ExcType: detail"`` and its shard-mates are unaffected — at 1.8 M
-    real-world layers, per-item breakage is a certainty the paper's
-    30-day analysis job had to survive too.
+    A layer whose blob is missing, whose gzip is corrupt, whose tar is
+    malformed or whose bytes no longer hash to its digest lands in
+    ``failures`` as ``"ExcType: detail"`` and its shard-mates are
+    unaffected — at 1.8 M real-world layers, per-item breakage is a
+    certainty the paper's 30-day analysis job had to survive too.
     """
-    catalog = shard.catalog if shard.catalog is not None else default_catalog()
     store = DiskBlobStore(shard.blob_root) if shard.blob_root is not None else None
-    result = ShardProfileResult(index=shard.index)
+    result = ShardResult(index=shard.index)
     for i, digest in enumerate(shard.digests):
         try:
             blob = store.get(digest) if store is not None else shard.blobs[i]
-            result.profiles.append(extract_and_profile(digest, blob, catalog))
+            result.values[digest] = per_layer(digest, blob, shard.context)
         except Exception as exc:  # noqa: BLE001 — per-layer failures are data
             result.failures[digest] = f"{type(exc).__name__}: {exc}"
     return result
+
+
+def profile_shard(shard: LayerShard) -> ShardResult:
+    """The analyzer's picklable worker: a
+    :class:`~repro.analyzer.profiles.LayerProfile` per layer, measured by
+    :func:`~repro.analyzer.extract.extract_and_profile`."""
+    return run_shard(shard, extract_and_profile)
 
 
 def build_shards(
     store: BlobStore,
     digests: list[str],
     n_shards: int,
-    *,
-    catalog: TypeCatalog | None = None,
+    context: Any = None,
 ) -> tuple[list[LayerShard], dict[str, str]]:
     """Partition *digests* into at most *n_shards* balanced shards.
 
@@ -105,8 +127,7 @@ def build_shards(
     :func:`~repro.parallel.partition.partition_work` (one 800k-file layer
     should not share a worker with another giant). Digests whose blobs are
     already missing are reported in the returned failure map rather than
-    shipped. ``catalog`` is embedded only when it is not the process-wide
-    default.
+    shipped. *context* rides along on every shard.
     """
     if n_shards <= 0:
         raise ValueError(f"need at least one shard, got {n_shards}")
@@ -117,35 +138,56 @@ def build_shards(
         try:
             weights[digest] = store.size(digest)
             available.append(digest)
-        except Exception as exc:  # noqa: BLE001 — missing blob is a data point
+        except (BlobNotFoundError, DigestError, OSError) as exc:
+            # a missing or unreadable blob is a data point
             failures[digest] = f"{type(exc).__name__}: {exc}"
 
-    ship_catalog = (
-        catalog if catalog is not None and catalog is not default_catalog() else None
-    )
-    on_disk = isinstance(store, DiskBlobStore)
+    root = str(store.root) if isinstance(store, DiskBlobStore) else None
     parts = partition_work(
         available,
         min(n_shards, len(available)) or 1,
         weights=[weights[d] for d in available],
     )
-    shards: list[LayerShard] = []
-    for part in parts:
-        if not part:
-            continue
-        if on_disk:
-            shard = LayerShard(
-                index=len(shards),
-                digests=tuple(part),
-                blob_root=str(store.root),
-                catalog=ship_catalog,
-            )
-        else:
-            shard = LayerShard(
-                index=len(shards),
-                digests=tuple(part),
-                blobs=tuple(store.get(d) for d in part),
-                catalog=ship_catalog,
-            )
-        shards.append(shard)
+    shards = [
+        LayerShard(
+            index=index,
+            digests=tuple(part),
+            blobs=tuple(store.get(d) for d in part) if root is None else None,
+            blob_root=root,
+            context=context,
+        )
+        for index, part in enumerate(filter(None, parts))
+    ]
     return shards, failures
+
+
+def map_layers(
+    worker: Callable[[LayerShard], ShardResult],
+    store: BlobStore,
+    digests: list[str],
+    config: ParallelConfig,
+    context: Any = None,
+    *,
+    metrics: MetricsRegistry | None = None,
+) -> tuple[dict[str, Any], dict[str, str]]:
+    """Run *worker* over *digests* in ``config.chunk_size`` shards and
+    return ``(values by digest, failure reason by digest)``.
+
+    Every digest ends up in exactly one of the two maps: a blob missing
+    before dispatch, a layer its worker could not read, and every layer of
+    a shard that died whole are failures. Values arrive in shard order,
+    which is not input order — callers merge by digest.
+    """
+    n_shards = max(1, math.ceil(len(digests) / config.chunk_size))
+    shards, failed = build_shards(store, digests, n_shards, context)
+    values: dict[str, Any] = {}
+    for outcome in map_shards(worker, shards, config, metrics=metrics):
+        if not outcome.ok:
+            # the whole shard died (broken pool, unpicklable result);
+            # every layer it carried is accounted for, not lost
+            for digest in shards[outcome.index].digests:
+                failed[digest] = f"shard failed: {outcome.error}"
+            continue
+        failed.update(outcome.value.failures)
+        values.update(outcome.value.values)
+    return values, failed

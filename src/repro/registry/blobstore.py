@@ -9,6 +9,8 @@ directories (``blobs/sha256/ab/abcdef.../data``).
 from __future__ import annotations
 
 import abc
+import os
+import tempfile
 from pathlib import Path
 from typing import Iterator
 
@@ -109,7 +111,9 @@ class DiskBlobStore(BlobStore):
     """Sharded on-disk layout: ``<root>/sha256/<hex[:2]>/<hex>``.
 
     Writes go through a temp file + rename so a crashed write never leaves a
-    truncated blob addressable.
+    truncated blob addressable. Each writer gets its own temp name: two
+    concurrent writers of one digest then race only on the atomic rename,
+    and either winner leaves the full content in place.
     """
 
     def __init__(self, root: str | Path):
@@ -124,11 +128,19 @@ class DiskBlobStore(BlobStore):
         digest = sha256_bytes(data)
         path = self._path(digest)
         if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            tmp.rename(path)
+            self._write(path, data)
         return digest
+
+    def _write(self, path: Path, data: bytes) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as out:
+                out.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def get(self, digest: str) -> bytes:
         path = self._path(digest)
@@ -154,11 +166,7 @@ class DiskBlobStore(BlobStore):
             raise BlobNotFoundError(digest) from None
 
     def put_at(self, digest: str, data: bytes) -> None:
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        tmp.rename(path)
+        self._write(self._path(digest), data)
 
     def digests(self) -> Iterator[str]:
         for algo_dir in sorted(self.root.iterdir()):

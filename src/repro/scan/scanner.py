@@ -7,8 +7,9 @@ duplicated, so :class:`DedupScanner` does the O(unique layers) version:
 1. collect unique layer digests in first-seen order across all targets;
 2. resolve each against the :class:`~repro.scan.cache.ScanCache`
    (keyed by CVE-feed version — a new feed drop misses cleanly);
-3. extract the misses **once each**, sharded and size-balanced through
-   :func:`~repro.parallel.pool.map_shards` (failures come back as data);
+3. extract the misses **once each** through the layer-work engine the
+   analyzer uses (:func:`~repro.analyzer.shard.map_layers`: sharded,
+   size-balanced, failures come back as data);
 4. match inventories against the CVE feed, write the cache, and
    aggregate image exposure up the lineage DAG — a child is exposed to
    everything its base images ship.
@@ -20,18 +21,18 @@ pure function of its seed path.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
+from repro.analyzer.shard import map_layers
 from repro.obs import MetricsRegistry
-from repro.parallel.pool import ParallelConfig, map_shards
+from repro.parallel.pool import ParallelConfig
 from repro.registry.blobstore import BlobStore
 from repro.registry.registry import Registry
 from repro.scan.cache import ScanCache
 from repro.scan.records import LayerScanRecord
 from repro.scan.report import DecileRollup, ImageExposure, ScanReport, TypeRollup
-from repro.scan.shard import build_scan_shards, scan_shard
+from repro.scan.shard import scan_shard
 from repro.synth.lineage import (
     SEVERITIES,
     ImageLineage,
@@ -146,7 +147,6 @@ class DedupScanner:
         """Resolve every digest to a scan record (cache first, then sharded
         extraction) or a failure reason. Returns (records, failures, hits)."""
         records: dict[str, LayerScanRecord] = {}
-        failed: dict[str, str] = {}
 
         to_extract: list[str] = []
         for digest in digests:
@@ -164,26 +164,16 @@ class DedupScanner:
                 "scan_layers_extracted_total",
                 "layers whose packages were extracted",
             ).inc(0)
-            return records, failed, n_hits
+            return records, {}, n_hits
 
-        n_shards = max(1, math.ceil(len(to_extract) / self.parallel.chunk_size))
-        shards, missing = build_scan_shards(
-            self.blobs, to_extract, n_shards, self.model
+        inventories, failed = map_layers(
+            scan_shard,
+            self.blobs,
+            to_extract,
+            self.parallel,
+            self.model,
+            metrics=self.metrics,
         )
-        failed.update(missing)
-
-        inventories = {}
-        for outcome in map_shards(
-            scan_shard, shards, self.parallel, metrics=self.metrics
-        ):
-            if not outcome.ok:
-                # the whole shard died; every layer it carried is accounted for
-                for digest in shards[outcome.index].digests:
-                    failed[digest] = f"shard failed: {outcome.error}"
-                continue
-            failed.update(outcome.value.failures)
-            for inventory in outcome.value.inventories:
-                inventories[inventory.digest] = inventory
 
         # deterministic merge: records enter in first-seen digest order,
         # whatever shard produced them; vuln matching is driver-side so the

@@ -1,11 +1,11 @@
-"""The module-level, picklable shard worker for package extraction.
+"""Package extraction for the scanner: the per-layer function and its worker.
 
-Mirrors :mod:`repro.analyzer.shard`: inventory-extraction work travels as
-plain data (:class:`ScanShard`), the worker (:func:`scan_shard`) is a
-module-level function any ``ProcessPoolExecutor`` can import on the other
-side, and results come back as plain data (:class:`ShardInventoryResult`)
-with per-layer failures captured instead of raised — one rotted blob
-cannot kill a shard of healthy ones.
+The shard, the never-raises loop, the partitioner and the driver are the
+analyzer's (:mod:`repro.analyzer.shard`); this module adds only what is the
+scanner's own — :func:`extract_packages`, run per layer with the
+:class:`~repro.synth.lineage.PackageModel` as the shard's context, and
+:func:`scan_shard`, the module-level function a ``ProcessPoolExecutor`` can
+import on the other side.
 
 Extraction re-hashes the blob against its digest before deriving the
 inventory, so at-rest corruption surfaces as a per-layer
@@ -14,10 +14,9 @@ inventory, so at-rest corruption surfaces as a per-layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.parallel.partition import partition_work
-from repro.registry.blobstore import BlobStore, DiskBlobStore
+from repro.analyzer.shard import LayerShard, ShardResult, run_shard
 from repro.registry.errors import DigestMismatchError
 from repro.synth.lineage import PackageModel
 from repro.util.digest import sha256_bytes
@@ -30,46 +29,6 @@ class PackageInventory:
     digest: str
     compressed_size: int
     packages: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class ScanShard:
-    """One batch of inventory-extraction work, shippable across processes.
-
-    Exactly one blob transport is populated: ``blobs`` (payload bytes
-    aligned with ``digests``) or ``blob_root`` (a DiskBlobStore root the
-    worker reads from). The :class:`PackageModel` rides along — it is a
-    small frozen dataclass, and shipping it keeps the worker a pure
-    function of its shard.
-    """
-
-    index: int
-    digests: tuple[str, ...]
-    model: PackageModel
-    blobs: tuple[bytes, ...] | None = None
-    blob_root: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.blobs is None) == (self.blob_root is None):
-            raise ValueError("exactly one of blobs/blob_root must be set")
-        if self.blobs is not None and len(self.blobs) != len(self.digests):
-            raise ValueError(
-                f"{len(self.blobs)} blobs for {len(self.digests)} digests"
-            )
-
-    def __len__(self) -> int:
-        return len(self.digests)
-
-
-@dataclass
-class ShardInventoryResult:
-    """What one shard produced: inventories for the layers that extracted,
-    an error string per layer that did not. ``inventories`` keeps the
-    shard's digest order; global ordering is the merger's job."""
-
-    index: int
-    inventories: list[PackageInventory] = field(default_factory=list)
-    failures: dict[str, str] = field(default_factory=dict)
 
 
 def extract_packages(
@@ -92,68 +51,7 @@ def extract_packages(
     )
 
 
-def scan_shard(shard: ScanShard) -> ShardInventoryResult:
-    """Extract every layer in *shard*; never raises for a bad layer."""
-    store = DiskBlobStore(shard.blob_root) if shard.blob_root is not None else None
-    result = ShardInventoryResult(index=shard.index)
-    for i, digest in enumerate(shard.digests):
-        try:
-            blob = store.get(digest) if store is not None else shard.blobs[i]
-            result.inventories.append(extract_packages(digest, blob, shard.model))
-        except Exception as exc:  # noqa: BLE001 — per-layer failures are data
-            result.failures[digest] = f"{type(exc).__name__}: {exc}"
-    return result
-
-
-def build_scan_shards(
-    store: BlobStore,
-    digests: list[str],
-    n_shards: int,
-    model: PackageModel,
-) -> tuple[list[ScanShard], dict[str, str]]:
-    """Partition *digests* into at most *n_shards* size-balanced shards.
-
-    Same transport rules as the profiling shards: a
-    :class:`DiskBlobStore` ships only its root path (workers read their
-    own shard locally), in-memory stores ship the bytes. Digests whose
-    blobs are already missing are reported in the returned failure map
-    rather than shipped.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"need at least one shard, got {n_shards}")
-    failures: dict[str, str] = {}
-    weights: dict[str, int] = {}
-    available: list[str] = []
-    for digest in digests:
-        try:
-            weights[digest] = store.size(digest)
-            available.append(digest)
-        except Exception as exc:  # noqa: BLE001 — missing blob is a data point
-            failures[digest] = f"{type(exc).__name__}: {exc}"
-
-    on_disk = isinstance(store, DiskBlobStore)
-    parts = partition_work(
-        available,
-        min(n_shards, len(available)) or 1,
-        weights=[weights[d] for d in available],
-    )
-    shards: list[ScanShard] = []
-    for part in parts:
-        if not part:
-            continue
-        if on_disk:
-            shard = ScanShard(
-                index=len(shards),
-                digests=tuple(part),
-                model=model,
-                blob_root=str(store.root),
-            )
-        else:
-            shard = ScanShard(
-                index=len(shards),
-                digests=tuple(part),
-                model=model,
-                blobs=tuple(store.get(d) for d in part),
-            )
-        shards.append(shard)
-    return shards, failures
+def scan_shard(shard: LayerShard) -> ShardResult:
+    """The scanner's picklable worker: a :class:`PackageInventory` per
+    layer; never raises for a bad layer."""
+    return run_shard(shard, extract_packages)

@@ -1,5 +1,8 @@
 """Unit tests for both blob store backends."""
 
+import os
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +86,64 @@ class TestDiskSpecifics:
         stray.mkdir(parents=True)
         (stray / "deadbeef.tmp").write_bytes(b"junk")
         assert all(not d.endswith(".tmp") for d in store.digests())
+
+    @pytest.mark.parametrize("op", ["put", "put_at"])
+    def test_two_writers_of_one_digest_do_not_share_a_temp_file(
+        self, tmp_path, monkeypatch, op
+    ):
+        """Both writers have written their temp file before either renames:
+        with one temp name per digest the second rename finds nothing."""
+        store = DiskBlobStore(tmp_path / "blobs")
+        data = b"layer bytes " * 4096
+        digest = sha256_bytes(data)
+        both_written = threading.Barrier(2, timeout=10)
+
+        def held(real):
+            def rename(src, dst, **kwargs):
+                both_written.wait()
+                return real(src, dst, **kwargs)
+
+            return rename
+
+        monkeypatch.setattr(os, "replace", held(os.replace))
+        monkeypatch.setattr(os, "rename", held(os.rename))
+
+        errors = []
+
+        def write():
+            try:
+                if op == "put":
+                    store.put(data)
+                else:
+                    store.put_at(digest, data)
+            except Exception as exc:  # noqa: BLE001 — reported by the assert
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write) for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=20)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+        assert sha256_bytes(store.get(digest)) == digest
+        assert list(store.digests()) == [digest]
+        assert [p.name for p in store._path(digest).parent.iterdir()] == [
+            digest.split(":")[1]
+        ]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        store = DiskBlobStore(tmp_path / "blobs")
+        digest = sha256_bytes(b"content")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            store.put(b"content")
+        assert not store.has(digest)
+        assert list(store._path(digest).parent.iterdir()) == []
 
 
 @given(st.lists(st.binary(min_size=0, max_size=64), max_size=20))

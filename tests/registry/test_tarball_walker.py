@@ -242,7 +242,7 @@ class TestFailures:
         digests = tuple(sha256_bytes(b) for b in blobs)
         result = profile_shard(LayerShard(index=0, digests=digests, blobs=blobs))
         assert set(result.failures) == {digests[1]}
-        assert [p.digest for p in result.profiles] == [digests[0], digests[2]]
+        assert list(result.values) == [digests[0], digests[2]]
 
     def test_typed_errors(self):
         with pytest.raises(LayerFormatError, match="checksum"):

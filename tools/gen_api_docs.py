@@ -330,18 +330,28 @@ conformance after sweeps.""",
         "Parallel analysis & the profile cache",
         """\
 Layer profiling — gunzip, tar walk, per-file hashing and typing — is the
-pipeline's CPU cost, and it is sharded. `Analyzer` partitions the unique
-layer digests into size-balanced batches (`repro.analyzer.build_shards`,
-weighted by compressed blob size via `partition_work`), dispatches them
-through `repro.parallel.map_shards` to the module-level worker
-`profile_shard`, and merges the results back in first-seen digest order —
-so `serial`, `thread`, and `process` runs produce byte-identical
-datasets. Everything crossing the pool boundary is plain picklable data
-(`LayerShard` in, `ShardProfileResult` out): a `DiskBlobStore` ships only
-its root path and each worker reads its own shard locally; in-memory
-stores ship the compressed bytes. Failures stay data too — a corrupt
-layer lands in `ShardProfileResult.failures`, a dead shard comes back as
-`ShardOutcome.error`, and the analyzer accounts every affected digest in
+pipeline's CPU cost, and it is sharded by one engine,
+`repro.analyzer.shard`, that the vulnerability scanner runs on too.
+`map_layers(worker, store, digests, config, context)` partitions the
+digests into size-balanced batches (`build_shards`, weighted by compressed
+blob size via `partition_work`), dispatches them through
+`repro.parallel.map_shards` to a module-level worker, and returns values
+and failure reasons by digest. A worker is one call of
+`run_shard(shard, per_layer)`, the loop that applies
+`per_layer(digest, blob, context)` to every layer: `profile_shard` runs
+`extract_and_profile` (context: a non-default `TypeCatalog`, else `None`),
+`repro.scan.scan_shard` runs `extract_packages` (context: the
+`PackageModel`). `Analyzer` and `DedupScanner` keep their own cache lookup,
+cache write and metric names around that call and merge in first-seen
+digest order — so `serial`, `thread`, and `process` runs produce
+byte-identical datasets and reports. Everything crossing the pool boundary
+is plain picklable data (`LayerShard` in, `ShardResult` out): a
+`DiskBlobStore` ships only its root path and each worker reads its own
+shard locally; in-memory stores ship the compressed bytes. Failures stay
+data too — a blob missing before dispatch is reported by `build_shards`,
+a corrupt layer lands in `ShardResult.failures`, a dead shard comes back
+as `ShardOutcome.error` and every digest it carried is recorded as
+`shard failed: …` — so the caller accounts each affected digest in
 `failed_layers` instead of losing the run.
 
 Picking a mode: `serial` for anything tiny (and the automatic fallback
@@ -397,9 +407,11 @@ independent of evaluation order and process count.
 `repro.scan` applies the paper's layer-sharing result to security
 scanning. A naive scanner extracts every layer of every image —
 O(images × layers); `DedupScanner` collects the *unique* digests in
-first-seen order and extracts each exactly once, sharded and
-size-balanced through the same `map_shards` machinery as the analyzer
-(failures come back as data, a dead shard accounts all its digests).
+first-seen order and extracts each exactly once through the analyzer's
+layer-work engine (`repro.analyzer.map_layers` with the worker
+`scan_shard`: sharded, size-balanced, failures come back as data, a dead
+shard accounts all its digests); only `extract_packages`, the per-layer
+function, and the CVE matching are the scanner's own.
 Results are memoized in `ScanCache`, a disk-backed content-addressed map
 keyed by `(layer digest, CVE-feed version)` — the same self-verifying
 entry framing as `ProfileCache` (both sit on
