@@ -801,6 +801,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             print(server.metrics.render_prometheus(), end="")
     finally:
         if server is not None:
+            session.close()
             server.stop()
     return 0
 

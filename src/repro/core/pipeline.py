@@ -159,9 +159,13 @@ def run_http_pipeline(
         seed=config.seed,
     )
     search = HubSearchEngine(registry, seed=config.seed)
-    with RegistryHTTPServer(registry, search) as server:
-        crawl = HubCrawler(HTTPSearchClient(server.base_url)).crawl()
-        downloader = Downloader(HTTPSession(server.base_url), parallel=parallel)
+    with (
+        RegistryHTTPServer(registry, search) as server,
+        HTTPSearchClient(server.base_url) as search_client,
+        HTTPSession(server.base_url) as session,
+    ):
+        crawl = HubCrawler(search_client).crawl()
+        downloader = Downloader(session, parallel=parallel)
         images = downloader.download_all(crawl.repositories)
         pull_counts = {r.name: r.pull_count for r in registry.repositories()}
         analyzer = Analyzer(

@@ -340,7 +340,7 @@ def serving_cluster(
             replica_set.endpoints(), monitor=monitor, seed=seed,
             route=None if k is None else replica_set.route, metrics=metrics,
         ) as frontend:
-            session = HTTPSession(frontend.base_url, timeout=5.0)
-            yield replica_set, monitor, frontend, session, metrics
+            with HTTPSession(frontend.base_url, timeout=5.0) as session:
+                yield replica_set, monitor, frontend, session, metrics
     finally:
         replica_set.stop_all()

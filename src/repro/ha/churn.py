@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -97,6 +98,11 @@ class ReplicaSetWriter:
             session = HTTPSession(replica.base_url, timeout=self._timeout)
             self._sessions[replica.name] = session
         return session
+
+    def close(self) -> None:
+        """Close the per-replica HTTP sessions' pooled connections."""
+        for session in self._sessions.values():
+            session.close()
 
     def push_blob(self, data: bytes) -> str:
         return self._set.put_blob(data)
@@ -293,11 +299,11 @@ def run_churn(
             serving_cluster(
                 hub.registry, replicas=replicas, k=k if sharded else None,
                 vnodes=vnodes, seed=seed, clock=clock.now,
-            ) as (replica_set, monitor, frontend, session, metrics):
+            ) as (replica_set, monitor, frontend, session, metrics), \
+            closing(ReplicaSetWriter(replica_set)) as writer:
         engine = ChurnEngine.from_registry(
             replica_set.replicas[0].registry, seed=seed, params=params
         )
-        writer = ReplicaSetWriter(replica_set)
         journal = JournalFile(Path(gc_dir) / "gc.json")
 
         def collector() -> GarbageCollector:

@@ -340,16 +340,17 @@ def run_overload(
         hub.registry, fault_injector=injector, limits=limits
     ).start()
     try:
-        load = LoadGenerator(HTTPSession(server.base_url, timeout=10.0)).run(
-            ops,
-            LoadConfig(
-                workers=workers,
-                mode="open",
-                arrival_rate_rps=arrival_rate_rps,
-                seed=seed,
-                timing="wall",
-            ),
-        )
+        with HTTPSession(server.base_url, timeout=10.0) as session:
+            load = LoadGenerator(session).run(
+                ops,
+                LoadConfig(
+                    workers=workers,
+                    mode="open",
+                    arrival_rate_rps=arrival_rate_rps,
+                    seed=seed,
+                    timing="wall",
+                ),
+            )
         p99 = max(
             server.metrics.histogram(
                 "registry_http_request_seconds", endpoint=endpoint

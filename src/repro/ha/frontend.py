@@ -31,6 +31,13 @@ A load-balancing HTTP proxy for the Docker Registry v2 API:
 
 Error responses that are *answers* (404, 401, 400…) forward as-is; only
 infrastructure failures (connection refused, timeout, 5xx, 429) fail over.
+
+Forwarding is one :meth:`~repro.registry.transport.Transport.request` on a
+keep-alive pool the frontend owns (closed by :meth:`FailoverFrontend.stop`);
+its :class:`~repro.registry.transport.ConnectionFailed` is the failover
+signal. A killed replica shuts down its pooled connections, so the pool
+reconnects — and is refused — rather than reading from a dead server.
+The frontend itself runs on :class:`~repro.registry.transport.ServerBase`.
 """
 
 from __future__ import annotations
@@ -38,13 +45,16 @@ from __future__ import annotations
 import json
 import re
 import threading
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.ha.health import HealthMonitor
 from repro.obs import MetricsRegistry
+from repro.registry.transport import (
+    ConnectionFailed,
+    KeepAliveHandler,
+    ServerBase,
+    Transport,
+)
 from repro.util.digest import sha256_bytes
 from repro.util.rng import derive_seed
 
@@ -73,13 +83,7 @@ class _UpstreamAnswer:
         self.body = body
 
 
-class _FrontendHandler(BaseHTTPRequestHandler):
-    server: ThreadingHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
+class _FrontendHandler(KeepAliveHandler):
     # -- plumbing ---------------------------------------------------------------
 
     @property
@@ -136,7 +140,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         self.frontend._handle_write(self, "PUT")
 
 
-class FailoverFrontend:
+class FailoverFrontend(ServerBase):
     """Health-checked, digest-verifying load balancer over registry replicas."""
 
     def __init__(
@@ -161,9 +165,10 @@ class FailoverFrontend:
         #: optional shard router: digest -> (owner URLs in ring order, spares)
         self.route = route
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _FrontendHandler)
+        #: keep-alive connections to the replicas, shared by handler threads
+        self._upstream = Transport()
+        super().__init__(_FrontendHandler, port)
         self._httpd.frontend = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
         self._read_lock = threading.Lock()
         self._read_count = 0
         self.stats = {
@@ -177,33 +182,10 @@ class FailoverFrontend:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
-    def start(self) -> "FailoverFrontend":
-        if self._thread is not None:
-            raise RuntimeError("frontend already started")
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
     def stop(self) -> None:
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "FailoverFrontend":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        """Close every client connection, then the upstream pool."""
+        self._halt()
+        self._upstream.close()
 
     # -- accounting --------------------------------------------------------------
 
@@ -262,31 +244,18 @@ class FailoverFrontend:
         headers: dict[str, str],
         body: bytes | None = None,
     ) -> _UpstreamAnswer:
-        """One upstream try. Raises OSError-ish on infrastructure failure;
-        returns an answer (which may be an authoritative error or a shed)."""
-        request = urllib.request.Request(base + path, data=body, method=method)
-        for key, value in headers.items():
-            request.add_header(key, value)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                return _UpstreamAnswer(
-                    response.status,
-                    self._pick_headers(response.headers),
-                    response.read(),
-                )
-        except urllib.error.HTTPError as exc:
-            return _UpstreamAnswer(
-                exc.code, self._pick_headers(exc.headers), exc.read()
-            )
-
-    @staticmethod
-    def _pick_headers(headers) -> dict[str, str]:
-        out = {}
+        """One upstream try. Raises :class:`ConnectionFailed` on
+        infrastructure failure; returns an answer (which may be an
+        authoritative error or a shed)."""
+        status, received, data = self._upstream.request(
+            base, method, path, headers=headers, body=body, timeout=self.timeout_s
+        )
+        picked = {}
         for name in _FORWARD_RESPONSE_HEADERS:
-            value = headers.get(name) if headers is not None else None
+            value = received.get(name)
             if value is not None:
-                out[name] = value
-        return out
+                picked[name] = value
+        return _UpstreamAnswer(status, picked, data)
 
     @staticmethod
     def _failover_worthy(status: int) -> bool:
@@ -316,7 +285,7 @@ class FailoverFrontend:
                 answer = self._attempt(
                     base, path, method="HEAD" if head else "GET", headers=headers
                 )
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            except ConnectionFailed as exc:
                 self.monitor.record_failure(base, f"forward failed: {exc}")
                 continue
             if self._failover_worthy(answer.status):
@@ -376,7 +345,8 @@ class FailoverFrontend:
             handler._respond(
                 _UpstreamAnswer(
                     411,
-                    {"Content-Type": "application/json"},
+                    # the body's framing is unknown: it cannot be skipped
+                    {"Content-Type": "application/json", "Connection": "close"},
                     json.dumps(
                         {"errors": [{"code": "LENGTH_REQUIRED",
                                      "message": "Content-Length required"}]}
@@ -391,7 +361,7 @@ class FailoverFrontend:
             answer = self._attempt(
                 base, handler.path, method=method, headers=headers, body=body
             )
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except ConnectionFailed as exc:
             self.monitor.record_failure(base, f"write forward failed: {exc}")
             self._bump("refused")
             self._count_outcome("write_failed")

@@ -7,7 +7,10 @@ Evidence arrives two ways:
 
 * **actively** — :meth:`HealthMonitor.probe_all` hits both endpoints with
   a short timeout (call it from a loop, a background thread via
-  :meth:`start`, or deterministically from a test);
+  :meth:`start`, or deterministically from a test); :func:`http_probe`
+  sends both over one fresh :class:`~repro.registry.transport.Transport`
+  connection and closes it, so a pass also proves that a new connect
+  works — which a pooled data-path connection would not;
 * **passively** — the frontend reports every forwarding success/failure,
   so a replica that drops connections gets ejected between probe ticks.
 
@@ -21,12 +24,11 @@ shouldn't reinstate a flapping replica.
 from __future__ import annotations
 
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs import MetricsRegistry
+from repro.registry.transport import ConnectionFailed, Transport
 
 LIVE = "live"
 EJECTED = "ejected"
@@ -59,17 +61,18 @@ def http_probe(url: str, timeout_s: float) -> tuple[bool, str]:
     """One liveness+readiness check against a replica base URL.
 
     Healthy means ``/v2/`` answers 200 AND ``/healthz`` reports ready.
+    Both probes share one fresh connection, closed afterwards, so a pass
+    also proves the replica still accepts new connections.
     Returns ``(ok, detail)``.
     """
-    for path, what in (("/v2/", "liveness"), ("/healthz", "readiness")):
-        try:
-            with urllib.request.urlopen(url + path, timeout=timeout_s) as response:
-                if response.status != 200:
-                    return False, f"{what} returned {response.status}"
-        except urllib.error.HTTPError as exc:
-            return False, f"{what} returned {exc.code}"
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            return False, f"{what} unreachable: {exc}"
+    with Transport() as transport:
+        for path, what in (("/v2/", "liveness"), ("/healthz", "readiness")):
+            try:
+                status, _, _ = transport.request(url, "GET", path, timeout=timeout_s)
+            except ConnectionFailed as exc:
+                return False, f"{what} unreachable: {exc}"
+            if status != 200:
+                return False, f"{what} returned {status}"
     return True, "ok"
 
 

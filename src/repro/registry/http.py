@@ -12,6 +12,24 @@ across a genuine network boundary:
   ``/v2/_catalog``, the Hub web search at ``/search``, a ``/healthz``
   readiness probe, and per-endpoint request counters / latency histograms
   exported in Prometheus text format at ``/metrics``;
+* ``HTTPSession`` — the downloader-facing client with the same method
+  surface (and error mapping) as
+  :class:`~repro.downloader.session.SimulatedSession`;
+* ``HTTPSearchClient`` — the crawler-facing search client, duck-compatible
+  with :class:`~repro.registry.search.HubSearchEngine`.
+
+How connections live is :mod:`repro.registry.transport`'s business: the
+server runs on its :class:`~repro.registry.transport.ServerBase` (HTTP/1.1
+keep-alive, Nagle off, every connection shut down on ``stop()`` /
+``kill()``), and each client owns a
+:class:`~repro.registry.transport.Transport` pool — close it with
+``close()`` or a ``with`` block. A client call is headers, one
+``request()``, and one map from ``(status, headers, body)`` to a typed
+error (:func:`_error_from_response`); a broken connection surfaces as
+:class:`~repro.downloader.session.TransientNetworkError` prefixed
+``connection failed:`` (never reached the server) or ``connection broke:``
+(the response broke). Nothing is retried here — that is the downloader's
+policy.
 
 The server protects itself under load when given a
 :class:`~repro.ha.admission.ServerLimits`: a concurrency-limited admission
@@ -22,12 +40,10 @@ request bodies are bounded (411 without ``Content-Length``, 413 past
 ``max_body_bytes``), abandoned upload sessions expire on a TTL, and
 ``stop()`` drains gracefully — in-flight requests finish while new ones
 are refused. ``/metrics`` and ``/healthz`` bypass the gate so
-observability and health checking survive any storm.
-* ``HTTPSession`` — the downloader-facing client with the same method
-  surface (and error mapping) as
-  :class:`~repro.downloader.session.SimulatedSession`;
-* ``HTTPSearchClient`` — the crawler-facing search client, duck-compatible
-  with :class:`~repro.registry.search.HubSearchEngine`.
+observability and health checking survive any storm. Any answer sent
+before a request's body was read (a refusal, an injected fault, an
+unmatched write path) carries ``Connection: close``, so the unread bytes
+are never parsed as the next request on a kept-alive connection.
 
 Auth mirrors the registry's model: repositories flagged ``requires_auth``
 return 401 unless a ``Bearer`` token is presented.
@@ -41,10 +57,8 @@ import re
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.message import Message
 from typing import Callable
 
 from repro.model.manifest import MANIFEST_MEDIA_TYPE, Manifest
@@ -59,6 +73,12 @@ from repro.registry.errors import (
 )
 from repro.registry.registry import Registry
 from repro.registry.search import HubSearchEngine, SearchPage
+from repro.registry.transport import (
+    ConnectionFailed,
+    KeepAliveHandler,
+    ServerBase,
+    Transport,
+)
 
 _MANIFEST_RE = re.compile(r"^/v2/(?P<name>.+)/manifests/(?P<ref>[^/]+)$")
 _RANGE_RE = re.compile(r"^bytes=(?P<start>\d*)-(?P<end>\d*)$")
@@ -83,6 +103,9 @@ _UNGATED_ENDPOINTS = ("metrics", "healthz")
 
 #: body cap applied when the server carries no ServerLimits
 _DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: methods whose request carries a body the handler must read
+_BODY_METHODS = ("POST", "PATCH", "PUT")
 
 
 def _endpoint_of(path: str) -> str:
@@ -130,17 +153,14 @@ class _RequestRejected(Exception):
         self.reason = reason if reason is not None else code.lower()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(KeepAliveHandler):
     """Request handler bound to a server carrying the registry."""
 
     server: "RegistryHTTPServer"
-    protocol_version = "HTTP/1.1"
     _payload_faults = None
+    _body_read = False
 
     # -- plumbing ------------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test output clean
 
     def _token(self) -> str | None:
         header = self.headers.get("Authorization", "")
@@ -154,6 +174,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra or {}).items():
             self.send_header(key, value)
+        if self.command in _BODY_METHODS and not self._body_read:
+            # answered before the declared body was read: on a kept-alive
+            # connection its bytes would parse as the next request line
+            self.send_header("Connection", "close")
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
@@ -275,6 +299,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Run one request handler under admission control and per-endpoint
         metrics accounting."""
         metrics = self.server.metrics
+        self._body_read = False
         endpoint = _endpoint_of(urllib.parse.urlparse(self.path).path)
         # count on receipt, not in the finally: a client that got its bytes
         # must already observe the counter bumped (tests race on this)
@@ -363,7 +388,9 @@ class _Handler(BaseHTTPRequestHandler):
                 f"body of {length} bytes exceeds limit of {max_bytes}",
                 reason="body_too_large",
             )
-        return self.rfile.read(length) if length else b""
+        body = self.rfile.read(length) if length else b""
+        self._body_read = True
+        return body
 
     def _post(self) -> None:
         match = _UPLOAD_START_RE.match(urllib.parse.urlparse(self.path).path)
@@ -645,7 +672,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
-class RegistryHTTPServer:
+class RegistryHTTPServer(ServerBase):
     """Serve a registry over HTTP on 127.0.0.1 (ephemeral port by default)."""
 
     def __init__(
@@ -670,7 +697,7 @@ class RegistryHTTPServer:
         self.limits = limits
         self._clock = clock
         self.draining = False
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
+        super().__init__(_Handler, port)
         # expose registry/search/uploads to handlers through the server object
         self._httpd.registry = registry  # type: ignore[attr-defined]
         self._httpd.search = self.search  # type: ignore[attr-defined]
@@ -684,7 +711,6 @@ class RegistryHTTPServer:
         self._httpd.start_upload = self._start_upload  # type: ignore[attr-defined]
         self._httpd.append_upload = self._append_upload  # type: ignore[attr-defined]
         self._httpd.finish_upload = self._finish_upload  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
         self._inflight = 0
         self._inflight_cond = threading.Condition()
 
@@ -763,24 +789,10 @@ class RegistryHTTPServer:
         with self._uploads_lock:
             return len(self._uploads)
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
-    def start(self) -> "RegistryHTTPServer":
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
     def stop(self) -> None:
         """Graceful shutdown: refuse new requests, let in-flight requests
-        finish (bounded by the limits' drain timeout), then close."""
+        finish (bounded by the limits' drain timeout), then close every
+        connection."""
         self.draining = True
         if self._thread is not None:
             timeout_s = (
@@ -793,26 +805,13 @@ class RegistryHTTPServer:
                     if remaining <= 0:
                         break
                     self._inflight_cond.wait(remaining)
-            self._httpd.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._httpd.server_close()
+        self._halt()
 
     def kill(self) -> None:
         """Ungraceful shutdown — the crash case. No drain: in-flight
         requests may die mid-response and clients see resets, which is
         exactly what a failover frontend must absorb."""
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "RegistryHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        self._halt()
 
 
 class _HTTPBase:
@@ -820,9 +819,20 @@ class _HTTPBase:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = timeout
+        self._transport = Transport()
         self._lock = threading.Lock()
         self.requests = 0
         self.bytes_transferred = 0
+
+    def close(self) -> None:
+        """Close the pooled idle connections (a later call opens anew)."""
+        self._transport.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _fetch(
         self,
@@ -839,41 +849,32 @@ class _HTTPBase:
         # so a module-level import here would be circular
         from repro.downloader.session import TransientNetworkError
 
-        request = urllib.request.Request(self.base_url + path, data=data, method=method)
+        sent = dict(headers or {})
         if self.token:
-            request.add_header("Authorization", f"Bearer {self.token}")
+            sent["Authorization"] = f"Bearer {self.token}"
         if content_type:
-            request.add_header("Content-Type", content_type)
-        for key, value in (headers or {}).items():
-            request.add_header(key, value)
+            sent["Content-Type"] = content_type
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = response.read()
-                headers = dict(response.headers)
-        except urllib.error.HTTPError as exc:
-            if exc.code == 304 and not_modified_ok:
-                # urllib surfaces 304 as an "error"; for a conditional GET it
-                # is the good outcome — nothing changed, no body to read
-                with self._lock:
-                    self.requests += 1
-                if return_headers:
-                    return None, dict(exc.headers or {})
-                return None
-            raise _error_from_response(exc) from None
-        except urllib.error.URLError as exc:
-            # timeouts, refusals, resets wrapped by urllib -> retryable
-            if isinstance(exc.reason, (TimeoutError, OSError, http.client.HTTPException)):
-                raise TransientNetworkError(f"connection failed: {exc.reason}") from None
-            raise RegistryError(f"connection failed: {exc.reason}") from None
-        except (http.client.HTTPException, TimeoutError, OSError) as exc:
-            # raw socket/http errors during the response read (a flapping
-            # server closing mid-body surfaces here, not as URLError)
-            raise TransientNetworkError(f"connection broke: {exc!r}") from None
+            status, received, body = self._transport.request(
+                self.base_url, method, path, headers=sent, body=data, timeout=self.timeout
+            )
+        except ConnectionFailed as exc:
+            # refused, reset, timed out or cut off mid-body: retryable
+            if exc.reached:
+                raise TransientNetworkError(f"connection broke: {exc.cause!r}") from None
+            raise TransientNetworkError(f"connection failed: {exc.cause}") from None
+        if status == 304 and not_modified_ok:
+            # for a conditional GET, 304 is the good outcome: nothing
+            # changed, no body
+            body = None
+        elif not 200 <= status < 300:
+            raise _error_from_response(status, received, body)
         with self._lock:
             self.requests += 1
-            self.bytes_transferred += len(body) + (len(data) if data else 0)
+            if body is not None:
+                self.bytes_transferred += len(body) + (len(data) if data else 0)
         if return_headers:
-            return body, headers
+            return body, received
         return body
 
     def stats(self) -> dict[str, float]:
@@ -884,12 +885,13 @@ class _HTTPBase:
             }
 
 
-def _error_from_response(exc: urllib.error.HTTPError) -> RegistryError:
-    """Map a v2 error payload back onto the registry error hierarchy."""
+def _error_from_response(status: int, headers: Message, body: bytes) -> RegistryError:
+    """Map an error status and its v2 error payload back onto the registry
+    error hierarchy."""
     from repro.downloader.session import RateLimitedError, TransientNetworkError
 
-    retry_after = exc.headers.get("Retry-After") if exc.headers else None
-    if exc.code == 429 or (exc.code == 503 and retry_after is not None):
+    retry_after = headers.get("Retry-After")
+    if status == 429 or (status == 503 and retry_after is not None):
         # 429, or 503 carrying a Retry-After (an overloaded server load-
         # shedding with a price): back off for what the server asked
         try:
@@ -897,20 +899,21 @@ def _error_from_response(exc: urllib.error.HTTPError) -> RegistryError:
         except ValueError:
             retry_after_s = 0.0
         return RateLimitedError(
-            f"{exc.code} backpressure (Retry-After: {retry_after_s}s)",
+            f"{status} backpressure (Retry-After: {retry_after_s}s)",
             retry_after_s=retry_after_s,
         )
-    if exc.code >= 500:
-        return TransientNetworkError(f"server error {exc.code}")
-    if exc.code == 416:
-        hint = exc.headers.get("Content-Range", "") if exc.headers else ""
+    if status >= 500:
+        return TransientNetworkError(f"server error {status}")
+    if status == 416:
+        hint = headers.get("Content-Range", "")
         return RegistryError(f"range not satisfiable ({hint})")
     try:
-        doc = json.loads(exc.read().decode())
+        doc = json.loads(body.decode())
         code = doc["errors"][0]["code"]
         message = doc["errors"][0].get("message", "")
-    except Exception:
-        code, message = "UNKNOWN", str(exc)
+    except (ValueError, LookupError, TypeError, AttributeError):
+        code = "UNKNOWN"
+        message = f"HTTP Error {status}: {http.client.responses.get(status, '')}"
     if code == "UNAUTHORIZED":
         return AuthRequiredError(message or "repository")
     if code == "MANIFEST_UNKNOWN":

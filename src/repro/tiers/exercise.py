@@ -107,8 +107,7 @@ def _exercise_http() -> tuple[dict[str, float], Invariant]:
 
     violations: list[str] = []
     registry = seeded_hub("tiny", 5).registry
-    with RegistryHTTPServer(registry) as server:
-        session = HTTPSession(server.base_url)
+    with RegistryHTTPServer(registry) as server, HTTPSession(server.base_url) as session:
         repo = tag = None
         for candidate in registry.catalog():
             try:
