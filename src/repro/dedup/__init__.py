@@ -9,12 +9,6 @@ Everything operates on the columnar :class:`~repro.model.dataset.HubDataset`:
 * :mod:`bytype` — dedup by type group and specific type (Figs. 27–29).
 """
 
-from repro.dedup.chunking import (
-    ChunkDedupResult,
-    compare_granularities,
-    fixed_chunks,
-    gear_chunks,
-)
 from repro.dedup.engine import FileDedupReport, file_dedup_report
 from repro.dedup.streaming import FileDedupState, merge_dedup_states
 from repro.dedup.versions import VersionAnalysis, analyze_versions, tag_sort_key
@@ -24,7 +18,6 @@ from repro.dedup.cross import CrossDuplicateReport, cross_duplicate_report
 from repro.dedup.bytype import TypeDedupRow, dedup_by_figure_label, dedup_by_group
 
 __all__ = [
-    "ChunkDedupResult",
     "CrossDuplicateReport",
     "FileDedupReport",
     "FileDedupState",
@@ -34,13 +27,10 @@ __all__ = [
     "VersionAnalysis",
     "analyze_versions",
     "tag_sort_key",
-    "compare_granularities",
     "cross_duplicate_report",
     "dedup_by_figure_label",
     "dedup_by_group",
     "dedup_growth",
     "file_dedup_report",
-    "fixed_chunks",
     "merge_dedup_states",
-    "gear_chunks",
 ]

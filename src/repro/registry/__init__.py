@@ -22,7 +22,6 @@ from repro.registry.gc import (
     GCInterrupted,
     GCReport,
     Tombstones,
-    collect_cluster_garbage,
 )
 from repro.registry.http import HTTPSearchClient, HTTPSession, RegistryHTTPServer
 from repro.registry.registry import Registry
@@ -59,7 +58,6 @@ __all__ = [
     "SearchPage",
     "TagNotFoundError",
     "Tombstones",
-    "collect_cluster_garbage",
     "build_layer_tarball",
     "extract_layer_tarball",
     "iter_layer_files",

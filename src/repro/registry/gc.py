@@ -524,26 +524,3 @@ class GarbageCollector:
             interrupted=interrupted,
         )
 
-
-def collect_cluster_garbage(
-    replica_set,
-    *,
-    grace_s: float = 0.0,
-    clock: Callable[[], float] | None = None,
-    journal: JournalFile | None = None,
-    metrics: "MetricsRegistry | None" = None,
-    protected: Callable[[], Iterable[str]] | None = None,
-    kill_after: int | None = None,
-    tombstone_ttl_s: float | None = None,
-) -> GCReport:
-    """One-shot cluster-wide GC pass over a replica set's live members."""
-    collector = GarbageCollector(
-        ClusterGCTarget(replica_set),
-        grace_s=grace_s,
-        clock=clock,
-        journal=journal,
-        metrics=metrics,
-        protected=protected,
-        tombstone_ttl_s=tombstone_ttl_s,
-    )
-    return collector.collect(kill_after=kill_after)

@@ -1,4 +1,4 @@
-"""Statistics toolkit: empirical CDFs, histograms, samplers, summaries.
+"""Statistics toolkit: empirical CDFs, histograms, samplers, fits.
 
 Everything in the paper's evaluation is a CDF, a histogram, or a share
 breakdown over a large population; this package provides those primitives as
@@ -26,7 +26,6 @@ from repro.stats.samplers import (
     sample_mixture,
     sample_zipf_ranks,
 )
-from repro.stats.summary import SummaryStats, summarize
 
 __all__ = [
     "EmpiricalCDF",
@@ -36,7 +35,6 @@ __all__ = [
     "PowerLawFit",
     "MixtureSpec",
     "ParetoTailSpec",
-    "SummaryStats",
     "bounded_zipf_weights",
     "fit_lognormal",
     "fit_powerlaw_tail",
@@ -48,5 +46,4 @@ __all__ = [
     "sample_lognormal",
     "sample_mixture",
     "sample_zipf_ranks",
-    "summarize",
 ]

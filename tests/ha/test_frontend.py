@@ -187,8 +187,8 @@ class TestWrites:
         from repro.registry.http import HTTPSession
 
         replica_set, _, frontend = cluster
-        session = HTTPSession(frontend.base_url, timeout=5.0)
-        digest = session.push_blob(b"fresh upload")
+        with HTTPSession(frontend.base_url, timeout=5.0) as session:
+            digest = session.push_blob(b"fresh upload")
         primary = replica_set.replicas[0]
         assert primary.registry.blobs.has(digest)
 

@@ -172,8 +172,7 @@ class TestWallClock:
         from repro.registry.http import HTTPSession, RegistryHTTPServer
 
         _, registry, _, ops = world
-        with RegistryHTTPServer(registry) as server:
-            session = HTTPSession(server.base_url)
+        with RegistryHTTPServer(registry) as server, HTTPSession(server.base_url) as session:
             report = LoadGenerator(session).run(ops[:30], LoadConfig(workers=4))
         assert report.timing == "wall"
         assert report.requests == 30

@@ -43,7 +43,8 @@ def server():
 
 @pytest.fixture
 def session(server):
-    return HTTPSession(server.base_url)
+    with HTTPSession(server.base_url) as s:
+        yield s
 
 
 class TestEndpoints:
@@ -101,20 +102,21 @@ class TestErrors:
             session.get_manifest("priv/x", "latest")
 
     def test_bearer_token_grants_access(self, server):
-        session = HTTPSession(server.base_url, token="secret")
-        assert session.get_manifest("priv/x", "latest")
+        with HTTPSession(server.base_url, token="secret") as session:
+            assert session.get_manifest("priv/x", "latest")
 
     def test_unknown_path_404(self, server):
         import urllib.error
 
-        with pytest.raises(urllib.error.HTTPError):
+        with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.base_url + "/nope")
+        err.value.close()
 
     def test_connection_refused_maps_to_transient_error(self):
         # a refused connection is retryable weather, not a protocol error
-        dead = HTTPSession("http://127.0.0.1:9")  # discard port, nothing listens
-        with pytest.raises(TransientNetworkError, match="connection failed"):
-            dead.ping()
+        with HTTPSession("http://127.0.0.1:9") as dead:  # discard port, nothing listens
+            with pytest.raises(TransientNetworkError, match="connection failed"):
+                dead.ping()
 
 
 class TestErrorPaths:
@@ -141,6 +143,7 @@ class TestErrorPaths:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
+        err.value.close()
         assert err.value.code == 400
 
     def test_blob_put_with_wrong_digest_is_400(self, server, session):
@@ -186,7 +189,8 @@ class TestMetricsEndpoint:
         session.get_manifest("user/app", "latest")
         manifest = session.get_manifest("user/app", "latest")
         session.get_blob(manifest.layers[0].digest)
-        body = urllib.request.urlopen(f"{server.base_url}/metrics").read().decode()
+        with urllib.request.urlopen(f"{server.base_url}/metrics") as response:
+            body = response.read().decode()
         assert "# TYPE registry_http_requests_total counter" in body
         assert 'endpoint="manifest"' in body
         assert 'endpoint="blob"' in body
@@ -208,25 +212,26 @@ class TestMetricsEndpoint:
 
 class TestSearchOverHTTP:
     def test_search_pages(self, server):
-        client = HTTPSearchClient(server.base_url)
-        page = client.search("/", page=1)
+        with HTTPSearchClient(server.base_url) as client:
+            page = client.search("/", page=1)
         assert set(page.results) <= {"user/app", "user/web", "priv/x"}
         assert not page.has_next or page.page == 1
 
     def test_officials(self, server):
-        client = HTTPSearchClient(server.base_url)
-        assert client.official_repositories() == ["nginx"]
+        with HTTPSearchClient(server.base_url) as client:
+            assert client.official_repositories() == ["nginx"]
 
     def test_crawler_over_http(self, server):
-        crawler = HubCrawler(HTTPSearchClient(server.base_url))
-        result = crawler.crawl()
+        with HTTPSearchClient(server.base_url) as client:
+            result = HubCrawler(client).crawl()
         assert sorted(result.repositories) == ["nginx", "priv/x", "user/app", "user/web"]
 
 
 class TestDownloaderOverHTTP:
     def test_end_to_end_download(self, server):
-        downloader = Downloader(HTTPSession(server.base_url))
-        images = downloader.download_all(["nginx", "user/app", "user/web", "priv/x"])
+        with HTTPSession(server.base_url) as session:
+            downloader = Downloader(session)
+            images = downloader.download_all(["nginx", "user/app", "user/web", "priv/x"])
         assert {img.repository for img in images} == {"nginx", "user/app", "user/web"}
         stats = downloader.stats
         assert stats.failed_auth == 1
@@ -235,6 +240,6 @@ class TestDownloaderOverHTTP:
         assert stats.duplicate_layer_hits == 2
 
     def test_all_tags_over_http(self, server):
-        downloader = Downloader(HTTPSession(server.base_url))
-        images = downloader.download_all_tags("user/app")
+        with HTTPSession(server.base_url) as session:
+            images = Downloader(session).download_all_tags("user/app")
         assert {img.tag for img in images} == {"latest", "v1"}

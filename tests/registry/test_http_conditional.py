@@ -42,7 +42,8 @@ def server():
 
 @pytest.fixture
 def session(server):
-    return HTTPSession(server.base_url)
+    with HTTPSession(server.base_url) as s:
+        yield s
 
 
 def _counter_value(server, name, **labels):
@@ -179,9 +180,10 @@ class TestBlobRange:
 
 class TestProxyRevalidation:
     def test_proxy_over_http_revalidates_with_304(self, server):
-        proxy = CachingProxySession(HTTPSession(server.base_url))
-        first = proxy.get_manifest("nginx", "latest")
-        again = proxy.get_manifest("nginx", "latest")
+        with HTTPSession(server.base_url) as session:
+            proxy = CachingProxySession(session)
+            first = proxy.get_manifest("nginx", "latest")
+            again = proxy.get_manifest("nginx", "latest")
         assert again == first
         assert proxy.stats.manifest_requests == 2
         assert proxy.stats.manifest_revalidations_304 == 1

@@ -32,7 +32,8 @@ def server():
 
 @pytest.fixture
 def session(server):
-    return HTTPSession(server.base_url)
+    with HTTPSession(server.base_url) as s:
+        yield s
 
 
 def _raw_delete(server, path: str):
@@ -56,6 +57,7 @@ class TestDeleteTag:
     def test_tags_list_is_not_deletable(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             _raw_delete(server, "/v2/user/app/tags/list")
+        exc.value.close()
         assert exc.value.code == 404
         # ...and the listing endpoint is untouched
         with urllib.request.urlopen(

@@ -40,45 +40,40 @@ class TestServerSideFaults:
         server, _ = serve(
             [FaultRule(kind="rate_limit", rate=1.0, retry_after_s=0.25)]
         )
-        with server:
-            session = HTTPSession(server.base_url)
+        with server, HTTPSession(server.base_url) as session:
             with pytest.raises(RateLimitedError) as err:
                 session.get_manifest("user/app", "latest")
             assert err.value.retry_after_s == 0.25
 
     def test_server_error_surfaces_as_transient(self):
         server, _ = serve([FaultRule(kind="server_error", rate=1.0)])
-        with server:
-            session = HTTPSession(server.base_url)
+        with server, HTTPSession(server.base_url) as session:
             with pytest.raises(TransientNetworkError, match="server error 503"):
                 session.get_manifest("user/app", "latest")
 
     def test_flap_drops_the_connection(self):
         server, _ = serve([FaultRule(kind="flap", rate=1.0)])
-        with server:
-            session = HTTPSession(server.base_url, timeout=5.0)
+        with server, HTTPSession(server.base_url, timeout=5.0) as session:
             with pytest.raises(TransientNetworkError):
                 session.get_manifest("user/app", "latest")
 
     def test_corrupt_blob_body_fails_digest_check(self):
         server, digest = serve([FaultRule(kind="corrupt", rate=1.0, ops=("blob",))])
-        with server:
-            session = HTTPSession(server.base_url)
+        with server, HTTPSession(server.base_url) as session:
             blob = session.get_blob(digest)
             assert sha256_bytes(blob) != digest
 
     def test_truncated_blob_body_is_short(self):
         server, digest = serve([FaultRule(kind="truncate", rate=1.0, ops=("blob",))])
-        with server:
+        with server, HTTPSession(server.base_url) as session:
             clean = build_registry()[0].get_blob(digest)
-            blob = HTTPSession(server.base_url).get_blob(digest)
+            blob = session.get_blob(digest)
             assert len(blob) < len(clean)
 
     def test_metrics_endpoint_never_faulted(self):
         server, _ = serve([FaultRule(kind="server_error", rate=1.0)])
-        with server:
-            body = urllib.request.urlopen(server.base_url + "/metrics").read()
-            assert b"registry_http_requests_total" in body
+        with server, urllib.request.urlopen(server.base_url + "/metrics") as response:
+            assert b"registry_http_requests_total" in response.read()
 
     def test_downloader_survives_injected_weather_end_to_end(self):
         """One corrupt burst + everything else clean: the pull pipeline
@@ -89,9 +84,9 @@ class TestServerSideFaults:
                           schedule=Schedule.burst(1, 1)),
             ]
         )
-        with server:
+        with server, HTTPSession(server.base_url) as session:
             downloader = Downloader(
-                HTTPSession(server.base_url),
+                session,
                 parallel=ParallelConfig(mode="serial"),
                 sleep=lambda s: None,
                 max_retries=4,
@@ -106,9 +101,9 @@ class TestClientErrorMapping:
     def test_plain_429_maps_to_rate_limited(self):
         # no Retry-After header -> retry_after_s defaults to 0
         server, _ = serve([FaultRule(kind="rate_limit", rate=1.0, retry_after_s=0.0)])
-        with server:
+        with server, HTTPSession(server.base_url) as session:
             with pytest.raises(RateLimitedError) as err:
-                HTTPSession(server.base_url).ping()
+                session.ping()
             assert err.value.retry_after_s == 0.0
 
     def test_rate_limited_is_transient(self):

@@ -153,8 +153,8 @@ class TestUploadTTL:
         clock = FakeClock()
         limits = ServerLimits.default(gate=None, limiter=None, upload_ttl_s=60.0)
         with RegistryHTTPServer(build_registry(), limits=limits, clock=clock) as server:
-            session = HTTPSession(server.base_url)
-            session.push_blob(b"completes promptly")  # full protocol, no leak
+            with HTTPSession(server.base_url) as session:
+                session.push_blob(b"completes promptly")  # full protocol, no leak
             status, _, headers = request(
                 server, "POST", "/v2/library/app/blobs/uploads/", body=b""
             )
@@ -195,9 +195,11 @@ class TestClientErrorMapping:
         limits = ServerLimits.default(
             gate=None, limiter=TokenBucketLimiter(rate_per_s=100.0, burst=1)
         )
-        with RegistryHTTPServer(build_registry(), limits=limits) as server:
+        with (
+            RegistryHTTPServer(build_registry(), limits=limits) as server,
+            HTTPSession(server.base_url) as session,
+        ):
             # no X-Client-Id header: the limiter keys on the source address
-            session = HTTPSession(server.base_url)
             assert session.ping()
             with pytest.raises(RateLimitedError) as excinfo:
                 session.ping()

@@ -18,7 +18,8 @@ def server():
 
 @pytest.fixture()
 def session(server):
-    return HTTPSession(server.base_url)
+    with HTTPSession(server.base_url) as s:
+        yield s
 
 
 class TestBlobUpload:
@@ -105,7 +106,8 @@ class TestPushPullSymmetry:
 
         from repro.downloader.downloader import Downloader
 
-        downloader = Downloader(HTTPSession(server.base_url))
-        images = downloader.download_all(["u/a", "u/b", "u/c"])
+        with HTTPSession(server.base_url) as pull:
+            downloader = Downloader(pull)
+            images = downloader.download_all(["u/a", "u/b", "u/c"])
         assert len(images) == 3
         assert downloader.stats.unique_layers_fetched == 4  # shared base once

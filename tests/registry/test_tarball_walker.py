@@ -53,7 +53,7 @@ def reference_extract(blob: bytes) -> list[tuple[str, bytes]]:
 
 
 def reference_directories(blob: bytes) -> list[str]:
-    """``dedupstore.store._tar_directories`` as it was."""
+    """Every directory member's name, read through the stdlib ``tarfile``."""
     with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as zf:
         raw = zf.read()
     out: list[str] = []

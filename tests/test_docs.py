@@ -21,7 +21,7 @@ class TestApiDocs:
         body = out.read_text()
         for symbol in [
             "class `HubDataset", "class `Registry", "`generate_dataset",
-            "class `Downloader", "`compute_all_figures", "class `DedupLayerStore",
+            "class `Downloader", "`compute_all_figures", "class `DiskBlobStore",
             "class `LRUCache", "`restructure",
         ]:
             assert symbol in body, f"API.md missing {symbol}"

@@ -35,7 +35,6 @@ CASES = [
     ("compression_study.py", ["--seed", "3"], ["gzip-6", "best on"]),
     ("restructure_study.py", ["--seed", "3"], ["carved layout", "file-level dedup"]),
     ("growth_projection.py", ["--seed", "3", "--days", "180"], ["repos", "file dedup"]),
-    ("chunking_study.py", ["--seed", "3"], ["cdc-8k", "file-level dedup"]),
     ("loadtest_study.py", ["--seed", "3", "--requests", "400"], ["req/s", "p99", "proxy hit ratio"]),
 ]
 
