@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analyzer.profiles import DirectoryRecord, FileRecord, LayerProfile
+from repro.analyzer.profiles import LayerProfile
 from repro.filetypes.catalog import TypeCatalog, default_catalog
 from repro.filetypes.classifier import classify_bytes
 from repro.model.layer import parent_dirs
@@ -25,7 +25,10 @@ def extract_and_profile(
     """Extract a layer tarball and measure everything §III-C asks for."""
     catalog = catalog or default_catalog()
 
-    records: list[FileRecord] = []
+    paths: list[str] = []
+    digests: list[str] = []
+    sizes: list[int] = []
+    types: list[int] = []
     dir_file_counts: Counter[str] = Counter()
     all_dirs: set[str] = set()
     max_depth = 0
@@ -40,28 +43,24 @@ def extract_and_profile(
         if depth > max_depth:
             max_depth = depth
         files_size += len(content)
-        records.append(
-            FileRecord(
-                path=path,
-                digest=sha256_bytes(content),
-                size=len(content),
-                type_code=classify_bytes(path, content, catalog).code,
-            )
-        )
+        paths.append(path)
+        digests.append(sha256_bytes(content))
+        sizes.append(len(content))
+        types.append(classify_bytes(path, content, catalog).code)
 
-    directories = [
-        DirectoryRecord(
-            path=d, depth=d.count("/") + 1, file_count=dir_file_counts.get(d, 0)
-        )
-        for d in sorted(all_dirs)
-    ]
+    dir_paths = sorted(all_dirs)
     return LayerProfile(
         digest=digest,
         compressed_size=len(blob),
         files_size=files_size,
-        file_count=len(records),
-        directory_count=len(directories),
+        file_count=len(paths),
+        directory_count=len(dir_paths),
         max_depth=max_depth,
-        files=records,
-        directories=directories,
+        file_paths=paths,
+        file_digests=digests,
+        file_sizes=sizes,
+        file_types=types,
+        dir_paths=dir_paths,
+        dir_depths=[d.count("/") + 1 for d in dir_paths],
+        dir_file_counts=[dir_file_counts.get(d, 0) for d in dir_paths],
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
-from operator import attrgetter
 from posixpath import basename
 
 import numpy as np
@@ -73,12 +72,13 @@ def extract_insights(store: ProfileStore, *, top_n: int = 5) -> Insights:
 
     The occurrence-sized work runs as C-level passes: one fused
     ``dict.setdefault`` factorize assigns every content digest its first
-    occurrence position (``np.unique`` over the digest *strings* was
-    measured ~5x slower — it has to sort the string column, while the
-    dict hashes each digest once), then copy counting and ranking are
-    ``np.bincount``/``argsort`` over the integer codes. Basename
-    ``Counter``\\ s are built lazily, only for the digests that make a
-    top list or hold empty content — never for the whole corpus.
+    occurrence position (``np.unique`` over the digest *strings*
+    measured ~3x slower over the profile columns in
+    ``benchmarks/bench_colstream.py`` — it has to sort the string
+    column, while the dict hashes each digest once), then copy counting
+    and ranking are ``np.bincount``/``argsort`` over the integer codes.
+    Basename ``Counter``\\ s are built lazily, only for the digests that
+    make a top list or hold empty content — never for the whole corpus.
     Ordering matches the ``Counter.most_common`` contract exactly: count
     descending, first-seen order breaking ties (pinned by
     ``tests/analyzer``).
@@ -87,14 +87,14 @@ def extract_insights(store: ProfileStore, *, top_n: int = 5) -> Insights:
     if not layers:
         raise ValueError("no layer profiles to analyze")
 
-    all_files = list(chain.from_iterable(map(attrgetter("files"), layers)))
-    n_occurrences = len(all_files)
+    all_digests = list(chain.from_iterable(l.file_digests for l in layers))
+    n_occurrences = len(all_digests)
 
     if n_occurrences:
-        # codes_pos[i] = index of the first occurrence of record i's digest
+        # codes_pos[i] = index of the first occurrence of file i's digest
         table: dict[str, int] = {}
         codes_pos = np.fromiter(
-            map(table.setdefault, map(attrgetter("digest"), all_files), count()),
+            map(table.setdefault, all_digests, count()),
             dtype=np.int64,
             count=n_occurrences,
         )
@@ -105,10 +105,10 @@ def extract_insights(store: ProfileStore, *, top_n: int = 5) -> Insights:
         codes = remap[codes_pos]  # dense ids, first-seen order
         counts = np.bincount(codes, minlength=n_unique)
         uniq_sizes = np.fromiter(
-            (all_files[i].size for i in first_seen.tolist()),
+            chain.from_iterable(l.file_sizes for l in layers),
             dtype=np.int64,
-            count=n_unique,
-        )
+            count=n_occurrences,
+        )[first_seen]
 
         # Counter.most_common order: count desc, first insertion on ties —
         # codes are already in first-seen order, so a stable sort suffices.
@@ -122,13 +122,14 @@ def extract_insights(store: ProfileStore, *, top_n: int = 5) -> Insights:
         name_counters: dict[int, Counter[str]] = {
             int(u): Counter() for u in np.flatnonzero(wanted)
         }
+        all_paths = list(chain.from_iterable(l.file_paths for l in layers))
         sel = np.flatnonzero(wanted[codes])
         for i, u in zip(sel.tolist(), codes[sel].tolist()):
-            name_counters[u][basename(all_files[i].path)] += 1
+            name_counters[u][basename(all_paths[i])] += 1
 
         top_repeated = [
             RepeatedFile(
-                digest=all_files[first_seen[u]].digest,
+                digest=all_digests[first_seen[u]],
                 size=int(uniq_sizes[u]),
                 copies=int(counts[u]),
                 names=name_counters[u].most_common(3),

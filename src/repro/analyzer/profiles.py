@@ -13,6 +13,7 @@ tarballs or the synthetic generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -40,7 +41,16 @@ class DirectoryRecord:
 
 @dataclass
 class LayerProfile:
-    """Everything the analyzer measured about one layer."""
+    """Everything the analyzer measured about one layer.
+
+    Per-file and per-directory metadata are held as parallel columns, not
+    as one object per entry: the file at position *i* is
+    ``(file_paths[i], file_digests[i], file_sizes[i], file_types[i])``.
+    The profile cache decodes straight into the columns and
+    :meth:`ProfileStore.to_dataset` reads them without building a record;
+    :attr:`files` and :attr:`directories` build records on demand for the
+    callers that want them.
+    """
 
     digest: str
     compressed_size: int  # CLS
@@ -48,8 +58,64 @@ class LayerProfile:
     file_count: int
     directory_count: int
     max_depth: int
-    files: list[FileRecord] = field(default_factory=list)
-    directories: list[DirectoryRecord] = field(default_factory=list)
+    file_paths: list[str] = field(default_factory=list)
+    file_digests: list[str] = field(default_factory=list)
+    file_sizes: list[int] = field(default_factory=list)
+    file_types: list[int] = field(default_factory=list)
+    dir_paths: list[str] = field(default_factory=list)
+    dir_depths: list[int] = field(default_factory=list)
+    dir_file_counts: list[int] = field(default_factory=list)
+
+    @classmethod
+    def from_records(
+        cls,
+        digest: str,
+        compressed_size: int,
+        files_size: int,
+        file_count: int,
+        directory_count: int,
+        max_depth: int,
+        files: Iterable[FileRecord] = (),
+        directories: Iterable[DirectoryRecord] = (),
+    ) -> LayerProfile:
+        """Build a profile from per-entry records (fixtures, hand-made layers)."""
+        files = list(files)
+        directories = list(directories)
+        return cls(
+            digest=digest,
+            compressed_size=compressed_size,
+            files_size=files_size,
+            file_count=file_count,
+            directory_count=directory_count,
+            max_depth=max_depth,
+            file_paths=[f.path for f in files],
+            file_digests=[f.digest for f in files],
+            file_sizes=[f.size for f in files],
+            file_types=[f.type_code for f in files],
+            dir_paths=[d.path for d in directories],
+            dir_depths=[d.depth for d in directories],
+            dir_file_counts=[d.file_count for d in directories],
+        )
+
+    @property
+    def files(self) -> tuple[FileRecord, ...]:
+        """The files as records, built on each read."""
+        return tuple(
+            map(
+                FileRecord,
+                self.file_paths,
+                self.file_digests,
+                self.file_sizes,
+                self.file_types,
+            )
+        )
+
+    @property
+    def directories(self) -> tuple[DirectoryRecord, ...]:
+        """The directories as records, built on each read."""
+        return tuple(
+            map(DirectoryRecord, self.dir_paths, self.dir_depths, self.dir_file_counts)
+        )
 
     @property
     def compression_ratio(self) -> float:
@@ -71,7 +137,7 @@ class ImageProfile:
 
 def layer_profile_to_json(profile: LayerProfile) -> dict:
     """The canonical JSON document for one layer profile (the JSONL dump
-    format and the profile cache's payload)."""
+    format)."""
     return {
         "kind": "layer",
         "digest": profile.digest,
@@ -81,14 +147,27 @@ def layer_profile_to_json(profile: LayerProfile) -> dict:
         "dir_count": profile.directory_count,
         "max_depth": profile.max_depth,
         "files": [
-            [f.path, f.digest, f.size, f.type_code] for f in profile.files
+            list(row)
+            for row in zip(
+                profile.file_paths,
+                profile.file_digests,
+                profile.file_sizes,
+                profile.file_types,
+            )
         ],
-        "dirs": [[d.path, d.depth, d.file_count] for d in profile.directories],
+        "dirs": [
+            list(row)
+            for row in zip(
+                profile.dir_paths, profile.dir_depths, profile.dir_file_counts
+            )
+        ],
     }
 
 
 def layer_profile_from_json(doc: dict) -> LayerProfile:
     """Rebuild a :class:`LayerProfile` from :func:`layer_profile_to_json`."""
+    files = doc["files"]
+    dirs = doc["dirs"]
     return LayerProfile(
         digest=doc["digest"],
         compressed_size=doc["cls"],
@@ -96,14 +175,13 @@ def layer_profile_from_json(doc: dict) -> LayerProfile:
         file_count=doc["file_count"],
         directory_count=doc["dir_count"],
         max_depth=doc["max_depth"],
-        files=[
-            FileRecord(path=p, digest=d, size=s, type_code=t)
-            for p, d, s, t in doc["files"]
-        ],
-        directories=[
-            DirectoryRecord(path=p, depth=d, file_count=c)
-            for p, d, c in doc["dirs"]
-        ],
+        file_paths=[f[0] for f in files],
+        file_digests=[f[1] for f in files],
+        file_sizes=[f[2] for f in files],
+        file_types=[f[3] for f in files],
+        dir_paths=[d[0] for d in dirs],
+        dir_depths=[d[1] for d in dirs],
+        dir_file_counts=[d[2] for d in dirs],
     )
 
 
@@ -165,17 +243,17 @@ class ProfileStore:
 
         File id *k* belongs to the *k*-th distinct content digest in
         layer-occurrence order (first-seen semantics). The occurrence
-        walk is deliberately ONE fused Python pass: the records are
-        Python objects, so the floor is one attribute read plus one dict
-        probe per occurrence — and the walk reads ``size``/``type_code``
-        only for first-seen digests. Vectorized factorizes were measured
-        and rejected: ``np.unique`` over the digest strings is ~5x
-        slower at 10⁶ occurrences (it must sort the string column), and
-        multi-pass C-level pipelines (``fromiter``/``map``/``setdefault``)
-        lose ~2x because they touch every record once per column. The
-        comparison stays executable in ``benchmarks/bench_colstream.py``.
-        Everything downstream of the walk — offsets, scalar columns,
-        the image CSR — is NumPy.
+        walk is one fused Python pass over each profile's
+        ``zip(file_digests, file_sizes, file_types)`` columns: one dict
+        probe per occurrence, sizes and types kept only for first-seen
+        digests, and no record object built or read. Measured at 240 k
+        occurrences (``benchmarks/bench_colstream.py``, 2-core x86-64):
+        the pre-columns per-record walk is 4–7x slower; ``np.unique``
+        over the digest strings is still 2.3–3.1x slower (it sorts the
+        string column); a C-level ``dict.setdefault`` factorize over the
+        concatenated columns is 0.76–0.81x of this walk, about 3 % of a
+        warm analyzer pass. Everything downstream of the walk — offsets,
+        scalar columns, the image CSR — is NumPy.
         """
         profiles = [self._layers[d] for d in self._layer_order]
         file_id_by_digest: dict[str, int] = {}
@@ -188,15 +266,17 @@ class ProfileStore:
         append_id = layer_file_ids.append
         lookup = file_id_by_digest.get
         for i, profile in enumerate(profiles):
-            records = profile.files
-            file_counts[i] = len(records)
-            for record in records:
-                fid = lookup(record.digest)
+            digests = profile.file_digests
+            file_counts[i] = len(digests)
+            for digest, size, type_code in zip(
+                digests, profile.file_sizes, profile.file_types
+            ):
+                fid = lookup(digest)
                 if fid is None:
                     fid = len(file_sizes)
-                    file_id_by_digest[record.digest] = fid
-                    append_size(record.size)
-                    append_type(record.type_code)
+                    file_id_by_digest[digest] = fid
+                    append_size(size)
+                    append_type(type_code)
                 append_id(fid)
 
         layer_offsets = np.zeros(len(profiles) + 1, dtype=np.int64)

@@ -117,9 +117,10 @@ def analyze_versions(
         total = 0
         unique: dict[str, int] = {}
         for d in digests:
-            for record in store.layer(d).files:
-                total += record.size
-                unique.setdefault(record.digest, record.size)
+            layer = store.layer(d)
+            total += sum(layer.file_sizes)
+            for digest, size in zip(layer.file_digests, layer.file_sizes):
+                unique.setdefault(digest, size)
         return total, sum(unique.values())
 
     all_file_total, all_file_unique = file_stats(all_layers)

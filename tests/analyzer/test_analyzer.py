@@ -1,11 +1,16 @@
 """Analyzer driver tests against a materialized registry."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.cache import ProfileCache
+from repro.analyzer.profiles import DirectoryRecord, FileRecord
 from repro.downloader.downloader import Downloader
 from repro.downloader.session import SimulatedSession
+from repro.model.dataset import HubDataset
 from repro.parallel.pool import ParallelConfig
 
 
@@ -128,6 +133,27 @@ class TestProfileCacheIntegration:
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hits"] == warm.n_layers
         assert warm.dataset.layer_fls.tolist() == cold.dataset.layer_fls.tolist()
+
+    def test_warm_run_builds_no_records(self, materialized, tmp_path, monkeypatch):
+        """The warm path decodes cache entries straight into the profile
+        columns: not one FileRecord or DirectoryRecord is built."""
+        serial = ParallelConfig(mode="serial")
+        cold = self._analyze(materialized, serial, ProfileCache(tmp_path))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the warm path")
+
+        monkeypatch.setattr(FileRecord, "__init__", refuse)
+        monkeypatch.setattr(DirectoryRecord, "__init__", refuse)
+        warm = self._analyze(materialized, serial, ProfileCache(tmp_path))
+        assert warm.cache_stats["hits"] == warm.n_layers
+        for f in fields(HubDataset):
+            want, got = getattr(cold.dataset, f.name), getattr(warm.dataset, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, f.name
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
 
     def test_warm_process_run_agrees(self, materialized, tmp_path):
         process = ParallelConfig(

@@ -13,7 +13,7 @@ def _file(content: bytes, path: str = "f", type_code: int = 0) -> FileRecord:
 
 
 def _layer(i: int, files: list[FileRecord], cls: int = 100) -> LayerProfile:
-    return LayerProfile(
+    return LayerProfile.from_records(
         digest=format_digest(i),
         compressed_size=cls,
         files_size=sum(f.size for f in files),

@@ -126,7 +126,7 @@ def _store_from_rng(seed: int, n_layers: int = 40) -> ProfileStore:
                 )
             )
         store.add_layer(
-            LayerProfile(
+            LayerProfile.from_records(
                 digest=f"sha256:layer{li:04d}",
                 compressed_size=int(rng.integers(1, 10_000)),
                 files_size=sum(f.size for f in files),

@@ -56,7 +56,7 @@ class TestDatasetNpz:
 
 
 def make_layer() -> LayerProfile:
-    return LayerProfile(
+    return LayerProfile.from_records(
         digest=format_digest(7),
         compressed_size=120,
         files_size=300,

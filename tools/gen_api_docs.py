@@ -14,6 +14,7 @@ import argparse
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import repro
@@ -34,9 +35,11 @@ def first_paragraph(doc: str | None) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = str(inspect.signature(obj))
     except (TypeError, ValueError):
         return "(…)"
+    # a function default renders with its id(), which changes every run
+    return re.sub(r" at 0x[0-9a-f]+>", ">", signature)
 
 
 def public_members(module) -> list[tuple[str, object]]:
@@ -65,6 +68,8 @@ def render_member(name: str, obj) -> list[str]:
         for method_name, method in sorted(vars(obj).items()):
             if method_name.startswith("_"):
                 continue
+            if isinstance(method, (classmethod, staticmethod)):
+                method = method.__func__
             if inspect.isfunction(method):
                 lines.append(
                     f"- `{method_name}{signature_of(method)}` — "
