@@ -22,8 +22,9 @@ class BlobStore(abc.ABC):
     """Digest-addressed byte storage."""
 
     @abc.abstractmethod
-    def put(self, data: bytes) -> str:
-        """Store *data*; returns its sha256 digest. Idempotent."""
+    def put(self, data: bytes, *, digest: str | None = None) -> str:
+        """Store *data*; returns its sha256 digest. Idempotent. *digest*
+        skips the hash for a caller that just computed it from *data*."""
 
     @abc.abstractmethod
     def get(self, digest: str) -> bytes:
@@ -75,8 +76,8 @@ class MemoryBlobStore(BlobStore):
     def __init__(self) -> None:
         self._blobs: dict[str, bytes] = {}
 
-    def put(self, data: bytes) -> str:
-        digest = sha256_bytes(data)
+    def put(self, data: bytes, *, digest: str | None = None) -> str:
+        digest = digest or sha256_bytes(data)
         # Idempotent by construction: same content, same key.
         self._blobs.setdefault(digest, data)
         return digest
@@ -124,8 +125,8 @@ class DiskBlobStore(BlobStore):
         algo, hexpart = parse_digest(digest)
         return self.root / algo / hexpart[:2] / hexpart
 
-    def put(self, data: bytes) -> str:
-        digest = sha256_bytes(data)
+    def put(self, data: bytes, *, digest: str | None = None) -> str:
+        digest = digest or sha256_bytes(data)
         path = self._path(digest)
         if not path.exists():
             self._write(path, data)

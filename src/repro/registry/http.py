@@ -58,7 +58,6 @@ import socket
 import threading
 import time
 import urllib.parse
-from email.message import Message
 from typing import Callable
 
 from repro.model.manifest import MANIFEST_MEDIA_TYPE, Manifest
@@ -79,6 +78,7 @@ from repro.registry.transport import (
     ServerBase,
     Transport,
 )
+from repro.util.digest import sha256_bytes
 
 _MANIFEST_RE = re.compile(r"^/v2/(?P<name>.+)/manifests/(?P<ref>[^/]+)$")
 _RANGE_RE = re.compile(r"^bytes=(?P<start>\d*)-(?P<end>\d*)$")
@@ -439,13 +439,15 @@ class _Handler(KeepAliveHandler):
                     {"errors": [{"code": "BLOB_UPLOAD_UNKNOWN", "message": match["uuid"]}]},
                 )
                 return
-            actual = registry.push_blob(data)
+            # verify before storing: a mismatched body must leave no blob
+            actual = sha256_bytes(data)
             if expected and expected != actual:
                 self._send_json(
                     400,
                     {"errors": [{"code": "DIGEST_INVALID", "message": actual}]},
                 )
                 return
+            registry.push_blob(data, digest=actual)
             self._send(
                 201, b"", "text/plain",
                 {
@@ -885,7 +887,9 @@ class _HTTPBase:
             }
 
 
-def _error_from_response(status: int, headers: Message, body: bytes) -> RegistryError:
+def _error_from_response(
+    status: int, headers: http.client.HTTPMessage, body: bytes
+) -> RegistryError:
     """Map an error status and its v2 error payload back onto the registry
     error hierarchy."""
     from repro.downloader.session import RateLimitedError, TransientNetworkError
@@ -1021,8 +1025,6 @@ class HTTPSession(_HTTPBase):
         ``chunk_size`` splits the body over PATCH requests (resumable-style);
         by default the whole blob goes in the finalizing PUT (monolithic).
         """
-        from repro.util.digest import sha256_bytes
-
         digest = sha256_bytes(data)
         _, headers = self._fetch(
             "/v2/library/blobs/uploads/", method="POST", data=b"", return_headers=True

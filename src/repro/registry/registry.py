@@ -144,8 +144,10 @@ class Registry:
             self.blob_tombstones.discard(layer_digest)
         return digest
 
-    def push_blob(self, data: bytes) -> str:
-        digest = self.blobs.put(data)
+    def push_blob(self, data: bytes, *, digest: str | None = None) -> str:
+        """Store a blob; *digest* is its SHA-256 when the caller already
+        hashed it (the HTTP upload path verifies before it stores)."""
+        digest = self.blobs.put(data, digest=digest)
         self.blob_times[digest] = self._clock()
         self.blob_tombstones.discard(digest)
         return digest

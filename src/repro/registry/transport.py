@@ -1,4 +1,5 @@
-"""How an HTTP connection lives: one keep-alive transport, client and server.
+"""How an HTTP connection lives and how its messages are framed: one
+keep-alive transport, client and server.
 
 Every HTTP caller in the package sends through :meth:`Transport.request`:
 the registry client (:class:`~repro.registry.http.HTTPSession`,
@@ -8,38 +9,104 @@ replica health probe (:func:`~repro.ha.health.http_probe`). Both HTTP
 servers (:class:`~repro.registry.http.RegistryHTTPServer` and the
 frontend) run on :class:`ServerBase`.
 
-**Client side.** A :class:`Transport` keeps, per upstream ``host:port``, a
-LIFO stack of idle ``http.client.HTTPConnection``\\ s. A connection is
-checked out for exactly one exchange and goes back only after its body was
-read in full and the response did not say ``Connection: close``; any error
-or timeout drops it, so a late response is never read as the next answer.
-Before reuse an idle socket is polled with a zero-timeout ``select``: one
-the server has closed meanwhile reads as EOF and is replaced instead of
-surfacing as an error. Nothing is retried — a request that fails, fails
-exactly once. Every HTTP status comes back as data; the one exception is
-:class:`ConnectionFailed`, which says whether the request reached the
-server.
+**Framing.** This module writes and parses HTTP/1.1 messages itself, in
+both directions; ``http.client`` lends it only exception classes and its
+validation patterns, and no message goes through the ``email`` parser.
+Both ends read a header block with :func:`read_headers`: at most
+``http.client``'s 100 lines (the blank line counts) of at most 65 536
+bytes, each ``token ":" value``. Obs-fold, a line without a colon, a name
+that is not a token and a CR or NUL inside a value are malformed. Bodies
+are framed by ``Content-Length`` only: a response with a
+``Transfer-Encoding`` (chunked) is refused, and a request without a length
+is the server's 411.
 
-**Server side.** :class:`KeepAliveHandler` speaks HTTP/1.1 with Nagle's
-algorithm off: a response leaves in two writes (headers, then body), and
-with Nagle on the second waits for the client's delayed ACK on every
-kept-alive exchange. :class:`ServerBase` serves from a daemon thread and
-tracks every accepted connection, so halting it shuts them all down — a
-killed replica cannot keep answering on a pooled socket.
+**Client side.** A :class:`Transport` keeps, per upstream ``host:port``, a
+LIFO stack of idle connections (a socket with Nagle off plus a buffered
+reader). A request is validated before a byte is sent (control characters
+in the method or URL, an illegal header name, CR/LF in a header value
+raise ``ValueError``); its head and a body under 64 KiB leave in one
+``sendall``, with ``Host``, ``Accept-Encoding: identity`` and
+``Content-Length`` added unless the caller set them. The response is
+``HTTP/1.x`` with interim 1xx answers skipped; its body is read by
+``Content-Length`` (none for HEAD, 204 and 304) or, without a length, to
+EOF. A connection is checked out for exactly one exchange and goes back
+only after its body was read in full and the response did not say
+``Connection: close`` or lack a length; any error or timeout drops it, so
+a late response is never read as the next answer. Before reuse an idle
+socket is polled with a zero-timeout ``select``: one the server has closed
+meanwhile reads as EOF and is replaced instead of surfacing as an error.
+Nothing is retried — a request that fails, fails exactly once. Every HTTP
+status comes back as data; the one exception is :class:`ConnectionFailed`,
+which says whether the request reached the server (a chunked response, a
+bad ``Content-Length`` or a short body count as reached).
+
+**Server side.** :class:`KeepAliveHandler` parses ``METHOD target
+HTTP/1.0`` and ``HTTP/1.1`` request lines and their headers itself: a
+too-long line or too many headers is a 431, a malformed one (or a target
+with control characters or non-ASCII bytes) a 400. It keeps the stdlib's
+``//`` path normalisation, ``Connection`` rules and ``Expect:
+100-continue``; any other request line (HTTP/0.9, 2.0, garbage)
+goes to ``BaseHTTPRequestHandler.parse_request``, which answers it as it
+always has. Nagle's algorithm is off: a response leaves in two writes
+(headers, then body), and with Nagle on the second waits for the client's
+delayed ACK on every kept-alive exchange. :class:`ServerBase` serves from
+a daemon thread and tracks every accepted connection, so halting it shuts
+them all down — a killed replica cannot keep answering on a pooled socket.
 """
 
 from __future__ import annotations
 
 import http.client
+import re
 import select
 import socket
 import threading
 import urllib.parse
-from email.message import Message
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import BinaryIO
 
-#: what a broken exchange raises out of ``http.client`` and the socket
+#: what a broken exchange raises out of the socket and the response parser
 _EXCHANGE_ERRORS = (OSError, http.client.HTTPException)
+
+#: a header field name (RFC 9110 ``token``)
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+#: request bodies below this size leave in the same ``sendall`` as the head
+_COALESCE_BODY_BYTES = 64 * 1024
+
+#: request lines :meth:`KeepAliveHandler.parse_request` frames itself
+_FRAMED_VERSIONS = ("HTTP/1.1", "HTTP/1.0")
+
+
+class MalformedHeader(http.client.HTTPException):
+    """A header line that is not ``token ":" value``."""
+
+
+def read_headers(fp: BinaryIO) -> http.client.HTTPMessage:
+    """Read one header block from *fp*, through its blank line.
+
+    Limits are ``http.client``'s: a line over ``_MAXLINE`` bytes raises
+    ``LineTooLong``, more than ``_MAXHEADERS`` lines (the blank one
+    counts) ``HTTPException``. A line that is not ``token ":" value``
+    (obs-fold, no colon, a non-token name, CR or NUL in the value) raises
+    :class:`MalformedHeader`. Values are kept the way the stdlib parser
+    keeps them: leading SP/HT and the line ending stripped, nothing else.
+    EOF ends the block, as it does for the stdlib.
+    """
+    message = http.client.HTTPMessage()
+    for _ in range(http.client._MAXHEADERS):
+        line = fp.readline(http.client._MAXLINE + 1)
+        if len(line) > http.client._MAXLINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return message
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        value = value.lstrip(" \t").rstrip("\r\n")
+        if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
+            raise MalformedHeader(f"malformed header line {line!r}")
+        message[name] = value
+    raise http.client.HTTPException(f"got more than {http.client._MAXHEADERS} headers")
 
 
 class ConnectionFailed(Exception):
@@ -47,8 +114,8 @@ class ConnectionFailed(Exception):
 
     ``reached`` is False when connecting or sending the request failed (the
     server never saw it) and True when the server had the request but the
-    response broke: reset, premature EOF, timeout. ``cause`` is the
-    underlying socket or protocol error.
+    response broke: reset, premature EOF, timeout, a framing the client
+    does not speak. ``cause`` is the underlying socket or protocol error.
     """
 
     def __init__(self, cause: Exception, *, reached: bool):
@@ -64,6 +131,125 @@ def _still_open(sock: socket.socket) -> bool:
     return not readable
 
 
+def _unsendable(target: str) -> bool:
+    """A request target with control characters, spaces or non-ASCII
+    characters: ``http.client`` refuses to send one."""
+    return bool(http.client._contains_disallowed_url_pchar_re.search(target)) or (
+        not target.isascii()
+    )
+
+
+def _request_head(
+    method: str, target: str, headers: dict[str, str], body: bytes | None, host: str
+) -> bytes:
+    """The request line and header block, checked as ``http.client``
+    checks them; raises ``ValueError`` on anything it would refuse."""
+    if http.client._contains_disallowed_method_pchar_re.search(method) or (
+        not method.isascii()
+    ):
+        raise ValueError(f"method must be ASCII without control characters: {method!r}")
+    if _unsendable(target):
+        raise ValueError(f"URL must be ASCII without spaces or control characters: {target!r}")
+    given = {name.lower() for name in headers}
+    lines = [f"{method} {target} HTTP/1.1"]
+    if "host" not in given:
+        lines.append(f"Host: {host}")
+    if "accept-encoding" not in given:
+        lines.append("Accept-Encoding: identity")
+    if "content-length" not in given and "transfer-encoding" not in given:
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        elif method in http.client._METHODS_EXPECTING_BODY:
+            lines.append("Content-Length: 0")
+    for name, value in headers.items():
+        if not http.client._is_legal_header_name(name.encode("ascii")):
+            raise ValueError(f"Invalid header name {name!r}")
+        if http.client._is_illegal_header_value(value.encode("latin-1")):
+            raise ValueError(f"Invalid header value {value!r}")
+        lines.append(f"{name}: {value}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def _read_response(
+    rfile: BinaryIO, method: str
+) -> tuple[int, http.client.HTTPMessage, bytes, bool]:
+    """Read one response off *rfile*: ``(status, headers, body, reusable)``.
+
+    ``reusable`` is False when the server said ``Connection: close`` (or,
+    on HTTP/1.0, did not say ``keep-alive``) or the body ran to EOF.
+    """
+    while True:
+        line = rfile.readline(http.client._MAXLINE + 1)
+        if len(line) > http.client._MAXLINE:
+            raise http.client.LineTooLong("status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response"
+            )
+        version, code, *_ = line.split(None, 2) + [b"", b""]
+        if not (
+            version.startswith(b"HTTP/1.")
+            and len(code) == 3
+            and code.isdigit()
+            and code >= b"100"
+        ):
+            raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+        status = int(code)
+        headers = read_headers(rfile)
+        if status >= 200:
+            break  # 1xx answers are interim: the real one follows
+    connection = headers.get("Connection", "").lower()
+    if version == b"HTTP/1.0":
+        reusable = "keep-alive" in connection
+    else:
+        reusable = "close" not in connection
+    if method == "HEAD" or status in (204, 304):
+        return status, headers, b"", reusable
+    if "Transfer-Encoding" in headers:
+        raise http.client.HTTPException(
+            f"unsupported Transfer-Encoding: {headers['Transfer-Encoding']!r}"
+        )
+    length = headers.get("Content-Length")
+    if length is None:
+        return status, headers, rfile.read(), False
+    length = length.rstrip(" \t")
+    if not (length.isascii() and length.isdigit()):
+        raise http.client.HTTPException(f"bad Content-Length: {length!r}")
+    expected = int(length)
+    body = rfile.read(expected)
+    if len(body) < expected:
+        raise http.client.IncompleteRead(body, expected - len(body))
+    return status, headers, body, reusable
+
+
+class _Connection:
+    """One client connection: a socket with Nagle off and a buffered
+    reader over it. :meth:`close` closes both."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, address: tuple[str, int], timeout: float):
+        self.sock = socket.create_connection(address, timeout)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.rfile = self.sock.makefile("rb")
+        except BaseException:
+            self.sock.close()
+            raise
+
+    def send(self, head: bytes, body: bytes | None) -> None:
+        if body and len(body) >= _COALESCE_BODY_BYTES:
+            self.sock.sendall(head)
+            self.sock.sendall(body)
+        else:
+            self.sock.sendall(head + body if body else head)
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class Transport:
     """Keep-alive HTTP/1.1 exchanges over a shared pool of idle connections.
 
@@ -73,7 +259,7 @@ class Transport:
     """
 
     def __init__(self) -> None:
-        self._idle: dict[tuple[str, int], list[http.client.HTTPConnection]] = {}
+        self._idle: dict[tuple[str, int], list[_Connection]] = {}
         self._lock = threading.Lock()
 
     def request(
@@ -85,44 +271,47 @@ class Transport:
         headers: dict[str, str] | None = None,
         body: bytes | None = None,
         timeout: float,
-    ) -> tuple[int, Message, bytes]:
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
         """One exchange: ``(status, response headers, body)`` for any status.
 
-        Raises :class:`ConnectionFailed` when no complete response arrived.
+        Raises ``ValueError`` before sending anything for a request
+        ``http.client`` would refuse, and :class:`ConnectionFailed` when no
+        complete response arrived.
         """
         split = urllib.parse.urlsplit(base_url)
         key = (split.hostname or "", split.port or 80)
+        head = _request_head(method, split.path + path, headers or {}, body, split.netloc)
         conn = self._checkout(key, timeout)
         try:
             try:
-                conn.request(method, split.path + path, body=body, headers=headers or {})
-            except _EXCHANGE_ERRORS as exc:
+                if conn is None:
+                    conn = _Connection(key, timeout)
+                conn.send(head, body)
+            except OSError as exc:
                 raise ConnectionFailed(exc, reached=False) from None
             try:
-                response = conn.getresponse()
-                data = response.read()
+                status, received, data, reusable = _read_response(conn.rfile, method)
             except _EXCHANGE_ERRORS as exc:
                 raise ConnectionFailed(exc, reached=True) from None
         except BaseException:
-            conn.close()  # mid-exchange: whatever is left on it is garbage
+            if conn is not None:
+                conn.close()  # mid-exchange: whatever is left on it is garbage
             raise
-        if response.will_close:
-            conn.close()
-        else:
+        if reusable:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return response.status, response.headers, data
+        else:
+            conn.close()
+        return status, received, data
 
-    def _checkout(
-        self, key: tuple[str, int], timeout: float
-    ) -> http.client.HTTPConnection:
-        """The most recently used idle connection still open, else a new one."""
+    def _checkout(self, key: tuple[str, int], timeout: float) -> _Connection | None:
+        """The most recently used idle connection still open, else None."""
         while True:
             with self._lock:
                 stack = self._idle.get(key)
                 conn = stack.pop() if stack else None
             if conn is None:
-                return http.client.HTTPConnection(*key, timeout=timeout)
+                return None
             if _still_open(conn.sock):
                 conn.sock.settimeout(timeout)
                 return conn
@@ -144,10 +333,47 @@ class Transport:
 
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
-    """Request-handler base: HTTP/1.1 keep-alive, Nagle off, no access log."""
+    """Request-handler base: HTTP/1.1 keep-alive, Nagle off, no access log,
+    and its own request framing (see the module docstring)."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; on failure the error answer
+        is already sent. Only ``METHOD target HTTP/1.x`` is framed here."""
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3 or words[2] not in _FRAMED_VERSIONS:
+            return super().parse_request()
+        self.requestline = requestline
+        self.command, path, self.request_version = words
+        # the stdlib's guard against open redirects: "//host/x" is not a path
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        if _unsendable(path):  # the frontend could not forward it either
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request target")
+            return False
+        try:
+            self.headers = read_headers(self.rfile)
+        except MalformedHeader as exc:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line", str(exc))
+            return False
+        except http.client.HTTPException as exc:  # a line too long, too many lines
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, None, str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        else:
+            self.close_connection = self.request_version == "HTTP/1.0"
+        if (
+            self.request_version == "HTTP/1.1"
+            and self.headers.get("Expect", "").lower() == "100-continue"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test output clean

@@ -15,6 +15,7 @@ from repro.registry.registry import Registry
 from repro.registry.search import HubSearchEngine
 from repro.model.manifest import Manifest, ManifestLayerRef
 from repro.registry.tarball import layer_from_files
+from repro.util.digest import sha256_bytes
 
 
 def _build_registry() -> Registry:
@@ -161,6 +162,7 @@ class TestErrorPaths:
         assert err.value.code == 400
         doc = json.loads(err.value.read())
         assert doc["errors"][0]["code"] == "DIGEST_INVALID"
+        assert not server.registry.has_blob(sha256_bytes(b"payload bytes"))
 
     def test_patch_to_unknown_upload_uuid_is_404(self, server):
         request = urllib.request.Request(

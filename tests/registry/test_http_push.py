@@ -46,12 +46,15 @@ class TestBlobUpload:
             "/v2/library/blobs/uploads/", method="POST", data=b"", return_headers=True
         )
         bogus = format_digest(123)
-        with pytest.raises(RegistryError):
+        with pytest.raises(RegistryError, match="DIGEST_INVALID"):
             session._fetch(
                 f"{headers['Location']}?digest={urllib.parse.quote(bogus)}",
                 method="PUT",
                 data=b"not matching",
             )
+        # verified before it is stored: the mismatched body left nothing
+        assert not server.registry.has_blob(sha256_bytes(b"not matching"))
+        assert server.registry.blobs.count() == 0
 
     def test_unknown_upload_session_404(self, server, session):
         with pytest.raises(RegistryError):

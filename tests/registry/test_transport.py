@@ -5,12 +5,17 @@ on any socket the pool or a server leaves unclosed (the module mark turns
 a leak reported from a finalizer into a failure).
 """
 
+import email.feedparser
 import http.client
+import io
 import socket
+import string
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.downloader.session import TransientNetworkError
 from repro.faults.injector import FaultInjector
@@ -24,6 +29,12 @@ from repro.obs.metrics import counter_total
 from repro.registry.http import HTTPSession, RegistryHTTPServer
 from repro.registry.registry import Registry
 from repro.registry.tarball import layer_from_files
+from repro.registry.transport import (
+    ConnectionFailed,
+    MalformedHeader,
+    Transport,
+    read_headers,
+)
 from repro.util.digest import sha256_bytes
 
 pytestmark = pytest.mark.filterwarnings(
@@ -223,3 +234,368 @@ class TestEarlyAnswersClose:
                 server.port, "POST", "/v2/user/one/blobs/uploads/", b""
             )
             assert (status, connection) == (202, None)
+
+
+# -- framing ---------------------------------------------------------------------
+
+_TCHARS = string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~"
+#: a field value: any Latin-1 text but the line breaks and NUL
+_VALUES = st.text(
+    st.characters(min_codepoint=1, max_codepoint=255, exclude_characters="\r\n"),
+    max_size=30,
+)
+
+
+def header_block(lines: list[tuple[str, str]], eol: bytes) -> bytes:
+    return b"".join(f"{name}:{value}".encode("latin-1") + eol for name, value in lines) + eol
+
+
+class TestReadHeaders:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.text(_TCHARS, min_size=1, max_size=12), _VALUES), max_size=100
+        ),
+        eol=st.sampled_from([b"\r\n", b"\n"]),
+    )
+    @example(lines=[("A", " x")] * 99, eol=b"\r\n")
+    @example(lines=[("A", " x")] * 100, eol=b"\r\n")
+    def test_agrees_with_the_stdlib_parser(self, lines, eol):
+        raw = header_block(lines, eol)
+        try:
+            expected = http.client.parse_headers(io.BytesIO(raw)).items()
+        except http.client.HTTPException as exc:
+            # 100 lines plus the blank one: over the stdlib's limit
+            with pytest.raises(type(exc)):
+                read_headers(io.BytesIO(raw))
+        else:
+            assert read_headers(io.BytesIO(raw)).items() == expected
+
+    def test_stops_at_the_blank_line(self):
+        fp = io.BytesIO(b"Content-Length: 2\r\nX-A:  b c \r\n\r\nok")
+        message = read_headers(fp)
+        assert message["content-length"] == "2"
+        assert message.get("X-A") == "b c "
+        assert "x-a" in message
+        assert fp.read() == b"ok"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"A: b\r\n c\r\n\r\n",  # obs-fold
+            b"A: b\r\n\tc\r\n\r\n",
+            b" A: b\r\n\r\n",
+            b"no colon here\r\n\r\n",
+            b"A B: c\r\n\r\n",
+            b"A@: c\r\n\r\n",
+            b": c\r\n\r\n",
+            b"\xe9: c\r\n\r\n",
+            b"A: b\rc\r\n\r\n",
+            b"A: b\x00c\r\n\r\n",
+        ],
+    )
+    def test_malformed_lines_raise(self, raw):
+        with pytest.raises(MalformedHeader):
+            read_headers(io.BytesIO(raw))
+
+    def test_limits(self):
+        too_many = b"A: b\r\n" * 101 + b"\r\n"
+        with pytest.raises(http.client.HTTPException, match="more than 100 headers"):
+            read_headers(io.BytesIO(too_many))
+        too_long = b"A: " + b"b" * 65532 + b"\r\n\r\n"  # 65 537 bytes
+        with pytest.raises(http.client.LineTooLong):
+            read_headers(io.BytesIO(too_long))
+        longest = b"A: " + b"b" * 65531 + b"\r\n\r\n"
+        assert len(read_headers(io.BytesIO(longest))["A"]) == 65531
+
+
+def raw_exchange(port: int, data: bytes) -> tuple[bytes, bool]:
+    """Send *data* on a fresh socket; return everything the server sent
+    back and whether it then closed the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        received = b""
+        sock.settimeout(0.5)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+            return received, True
+        except TimeoutError:
+            return received, False
+
+
+class TestServerFraming:
+    @pytest.fixture()
+    def server(self):
+        with RegistryHTTPServer(build_registry()[0]) as server:
+            yield server
+
+    def test_line_too_long_is_431(self, server):
+        received, closed = raw_exchange(
+            server.port, b"GET /v2/ HTTP/1.1\r\nX: " + b"a" * 70000 + b"\r\n\r\n"
+        )
+        assert received.startswith(b"HTTP/1.1 431 ") and closed
+
+    def test_too_many_headers_is_431(self, server):
+        received, closed = raw_exchange(
+            server.port, b"GET /v2/ HTTP/1.1\r\n" + b"X: a\r\n" * 100 + b"\r\n"
+        )
+        assert received.startswith(b"HTTP/1.1 431 ") and closed
+
+    @pytest.mark.parametrize("block", [b"X: a\r\n b\r\n", b"no colon\r\n", b"A B: c\r\n"])
+    def test_malformed_header_is_400(self, server, block):
+        received, closed = raw_exchange(
+            server.port, b"GET /v2/ HTTP/1.1\r\n" + block + b"\r\n"
+        )
+        assert received.startswith(b"HTTP/1.1 400 ") and closed
+
+    @pytest.mark.parametrize("target", [b"/v2/\x01", b"/v2/\x7f", b"/v2/\xe9"])
+    def test_unsendable_target_is_400(self, server, target):
+        received, closed = raw_exchange(server.port, b"GET %s HTTP/1.1\r\n\r\n" % target)
+        assert received.startswith(b"HTTP/1.1 400 ") and closed
+
+    def test_http11_keeps_the_connection(self, server):
+        received, closed = raw_exchange(server.port, b"GET /v2/ HTTP/1.1\r\n\r\n" * 2)
+        assert received.count(b"HTTP/1.1 200 ") == 2 and not closed
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [b"GET /v2/ HTTP/1.0\r\n\r\n", b"GET /v2/ HTTP/1.1\r\nConnection: close\r\n\r\n"],
+    )
+    def test_close_rules(self, server, request_head):
+        received, closed = raw_exchange(server.port, request_head)
+        assert received.startswith(b"HTTP/1.1 200 ") and closed
+
+    def test_http10_keep_alive_stays_open(self, server):
+        received, closed = raw_exchange(
+            server.port, b"GET /v2/ HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        )
+        assert received.startswith(b"HTTP/1.1 200 ") and not closed
+
+    def test_double_slash_path_is_normalised(self, server):
+        received, _ = raw_exchange(server.port, b"GET //v2/ HTTP/1.1\r\n\r\n")
+        assert received.startswith(b"HTTP/1.1 200 ")
+
+    def test_expect_100_continue(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v2/user/one/blobs/uploads/ HTTP/1.1\r\n"
+                b"Content-Length: 3\r\nExpect: 100-continue\r\n\r\n"
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"abc")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 202 ")
+
+    def test_http2_request_line_keeps_the_stdlib_answer(self, server):
+        received, closed = raw_exchange(server.port, b"GET /v2/ HTTP/2.0\r\n\r\n")
+        # the stdlib answers an unparsed version HTTP/0.9-style: body only
+        assert b"Error code: 505" in received and closed
+
+    def test_frontend_frames_requests_too(self):
+        with RegistryHTTPServer(build_registry()[0]) as upstream, FailoverFrontend(
+            [upstream.base_url], monitor=HealthMonitor([upstream.base_url])
+        ) as frontend:
+            for request_head in (
+                b"GET /v2/ HTTP/1.1\r\nX: a\r\n b\r\n\r\n",
+                b"GET /v2/\x01 HTTP/1.1\r\n\r\n",  # it could not forward this
+            ):
+                received, closed = raw_exchange(frontend.port, request_head)
+                assert received.startswith(b"HTTP/1.1 400 ") and closed
+
+
+class CannedUpstream:
+    """A one-thread server answering the n-th request with the n-th canned
+    reply, closing the connection after a reply marked ``close``. Records
+    every request head and counts accepted connections."""
+
+    def __init__(self, *replies: bytes | tuple[bytes, str]):
+        self.replies = [r if isinstance(r, tuple) else (r, "") for r in replies]
+        self.heads: list[bytes] = []
+        self.accepts = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self) -> None:
+        while self.replies:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return  # stopped
+            self.accepts += 1
+            with sock, sock.makefile("rb") as rfile:
+                while self.replies:
+                    head = rfile.readline()
+                    while (line := rfile.readline()) not in (b"\r\n", b""):
+                        head += line
+                    if not line:
+                        break  # the client closed this connection
+                    self.heads.append(head + line)
+                    fields = http.client.parse_headers(io.BytesIO(head.split(b"\r\n", 1)[1]))
+                    rfile.read(int(fields.get("Content-Length", 0)))  # the body
+                    reply, close = self.replies.pop(0)
+                    sock.sendall(reply)
+                    if close:
+                        break
+
+    def __enter__(self) -> "CannedUpstream":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.listener.close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class TestClientFraming:
+    def exchange(self, transport: Transport, upstream: CannedUpstream, method="GET"):
+        return transport.request(upstream.url, method, "/x", timeout=5)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n", ""),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", "close"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1_0\r\n\r\nok", ""),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\nok", ""),
+            (b"HTTP/2 200\r\nContent-Length: 2\r\n\r\nok", ""),
+            (b"HTTP/1.1 20 OK\r\nContent-Length: 2\r\n\r\nok", ""),
+            (b"HTTP/1.1\r\nContent-Length: 2\r\n\r\nok", ""),
+            (b" \r\nContent-Length: 2\r\n\r\nok", ""),
+            (b"HTTP/1.1 200 OK\r\nX: a\r\n b\r\nContent-Length: 2\r\n\r\nok", ""),
+        ],
+    )
+    def test_unframeable_responses_fail_as_reached_and_drop_the_socket(self, reply):
+        with CannedUpstream(reply, _OK) as upstream, Transport() as transport:
+            with pytest.raises(ConnectionFailed) as failed:
+                self.exchange(transport, upstream)
+            assert failed.value.reached
+            assert self.exchange(transport, upstream)[2] == b"ok"
+            assert upstream.accepts == 2
+
+    def test_interim_100_is_skipped(self):
+        reply = b"HTTP/1.1 100 Continue\r\n\r\n" + _OK
+        with CannedUpstream(reply, _OK) as upstream, Transport() as transport:
+            status, _, body = self.exchange(transport, upstream)
+            assert (status, body) == (200, b"ok")
+            self.exchange(transport, upstream)
+            assert upstream.accepts == 1
+
+    @pytest.mark.parametrize(
+        "method, status", [("HEAD", 200), ("GET", 204), ("GET", 304)]
+    )
+    def test_bodiless_answers_read_no_body(self, method, status):
+        reply = b"HTTP/1.1 %d X\r\nContent-Length: 5\r\n\r\n" % status
+        with CannedUpstream(reply, _OK) as upstream, Transport() as transport:
+            got = self.exchange(transport, upstream, method)
+            assert (got[0], got[1]["Content-Length"], got[2]) == (status, "5", b"")
+            assert self.exchange(transport, upstream)[2] == b"ok"
+            assert upstream.accepts == 1
+
+    def test_no_length_reads_to_eof_and_is_not_pooled(self):
+        reply = (b"HTTP/1.1 200 OK\r\n\r\nall of it", "close")
+        with CannedUpstream(reply, _OK) as upstream, Transport() as transport:
+            assert self.exchange(transport, upstream)[2] == b"all of it"
+            assert self.exchange(transport, upstream)[2] == b"ok"
+            assert upstream.accepts == 2
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+            b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        ],
+    )
+    def test_close_answers_are_not_pooled(self, reply):
+        with CannedUpstream((reply, "close"), _OK) as upstream, Transport() as transport:
+            self.exchange(transport, upstream)
+            self.exchange(transport, upstream)
+            assert upstream.accepts == 2
+
+    def test_generated_headers_are_never_doubled(self):
+        with CannedUpstream(_OK, _OK, _OK) as upstream, Transport() as transport:
+            transport.request(upstream.url, "POST", "/x", timeout=5)
+            transport.request(
+                upstream.url, "PUT", "/x", body=b"abc", timeout=5,
+                headers={"host": "h", "ACCEPT-ENCODING": "gzip", "content-length": "3"},
+            )
+            transport.request(upstream.url, "GET", "/x", timeout=5)
+        post, put, get = (head.decode().lower() for head in upstream.heads)
+        port = upstream.url.rsplit(":", 1)[1]
+        assert post.startswith("post /x http/1.1\r\n")
+        assert f"host: 127.0.0.1:{port}\r\n" in post
+        assert "accept-encoding: identity\r\n" in post
+        assert "content-length: 0\r\n" in post
+        for name in ("host:", "accept-encoding:", "content-length:"):
+            assert put.count(name) == 1
+        assert put.endswith("\r\n\r\n") and "content-length" not in get
+
+    @pytest.mark.parametrize(
+        "path, headers",
+        [
+            ("/v2/", {"X-A": "a\r\nX-Injected: 1"}),
+            ("/v2/", {"X-A": "a\rb"}),
+            ("/v2/", {"X:A": "b"}),
+            ("/v2/\x00", {}),
+            ("/v2/ HTTP/1.1\r\nX-Injected: 1\r\n\r\nGET /v2/", {}),
+            ("/v2/é", {}),
+        ],
+    )
+    def test_invalid_requests_raise_before_sending(self, path, headers):
+        registry, _ = build_registry()
+        with RegistryHTTPServer(registry) as server, Transport() as transport:
+            with pytest.raises(ValueError):
+                transport.request(
+                    server.base_url, "GET", path, headers=headers, timeout=5
+                )
+            with pytest.raises(ValueError):
+                transport.request(server.base_url, "GE\nT", "/v2/", timeout=5)
+            assert counter_total(server.metrics, "registry_http_requests_total") == 0
+            assert transport.request(server.base_url, "GET", "/v2/", timeout=5)[0] == 200
+            assert counter_total(server.metrics, "registry_http_requests_total") == 1
+
+
+class TestNoEmailParserPerRequest:
+    """The request path frames HTTP itself: with the stdlib's email parser
+    broken, every client call still works, direct and through a frontend."""
+
+    @pytest.fixture(params=["direct", "frontend"])
+    def base_url(self, request, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("email parser used on the request path")
+
+        with RegistryHTTPServer(Registry()) as server:
+            if request.param == "direct":
+                monkeypatch.setattr(email.feedparser.FeedParser, "feed", refuse)
+                yield server.base_url
+                return
+            with FailoverFrontend(
+                [server.base_url], monitor=HealthMonitor([server.base_url])
+            ) as frontend:
+                monkeypatch.setattr(email.feedparser.FeedParser, "feed", refuse)
+                yield frontend.base_url
+
+    def test_push_and_pull(self, base_url):
+        payload = b"\x7fELF" + b"z" * 500
+        with HTTPSession(base_url) as session:
+            manifest = session.push_image("user/app", "v1", [[("bin/app", payload)]])
+            (layer,) = manifest.layer_digests
+            digest = session.resolve_tag("user/app", "v1")
+            assert digest == manifest.digest()
+            assert session.get_manifest("user/app", digest) == manifest
+            _, etag = session.get_manifest_conditional("user/app", "v1")
+            cached, _ = session.get_manifest_conditional("user/app", "v1", etag=etag)
+            if etag is not None:  # the frontend forwards no ETag
+                assert cached is None
+            blob = session.get_blob(layer)
+            assert sha256_bytes(blob) == layer
+            part, total = session.get_blob_range(layer, 0, 9)
+            assert total == len(blob) and blob.startswith(part)
