@@ -17,6 +17,7 @@ Two stories:
 """
 
 from collections import Counter, defaultdict
+from dataclasses import replace
 from itertools import chain
 from posixpath import basename
 
@@ -25,7 +26,9 @@ import numpy as np
 from repro.analyzer.insights import extract_insights
 from repro.analyzer.profiles import LayerProfile, ProfileStore
 from repro.core.colstream import report_from_chunks, report_from_dataset
-from repro.synth.streamgen import chunks_from_dataset
+from repro.dedup.streaming import DENSE_SPAN_FACTOR, FileDedupState
+from repro.synth import SyntheticHubConfig
+from repro.synth.streamgen import chunks_from_dataset, iter_dataset_chunks
 from repro.util.timer import Timer
 
 
@@ -64,6 +67,48 @@ class TestColumnarEngine:
             print(f"  byte-identical         "
                   f"{report.to_json() == reference.to_json()}")
         assert report.to_json() == reference.to_json()
+
+    def test_dedup_factorize_strategies(self, request, benchmark, capsys):
+        """The shipped dense factorize vs the ``np.unique`` sort it replaced,
+        on a chunk shaped like the end-to-end ``columnar`` workload's: the
+        first 250 k occurrences of a 20-image bench hub."""
+        seed = int(request.config.getoption("--bench-seed"))
+        hub = replace(SyntheticHubConfig.bench(seed=seed), n_images=20)
+        chunk = next(iter_dataset_chunks(hub, chunk_occurrences=250_000))
+        ids, sizes = chunk.file_ids, chunk.occ_sizes
+        state = benchmark.pedantic(
+            FileDedupState.from_occurrences, args=(ids, sizes), rounds=3, iterations=1
+        )
+        dense_s = min(_timed(FileDedupState.from_occurrences, ids, sizes) for _ in range(3))
+        sort_s = min(_timed(_sort_factorize, ids, sizes) for _ in range(3))
+        unique_ids, counts, first_sizes = _sort_factorize(ids, sizes)
+        n = chunk.n_occurrences
+        span = int(ids.max()) - int(ids.min()) + 1
+        with capsys.disabled():
+            print()
+            print("columnar  FileDedupState.from_occurrences factorize strategies")
+            print(f"  occurrences            {n:,} (id span {span / n:.2f}x)")
+            print(f"  shipped dense bincount {dense_s:.4f}s ({n / dense_s:,.0f} occ/s)")
+            print(f"  np.unique sort         {sort_s:.4f}s "
+                  f"({sort_s / dense_s:.2f}x shipped)")
+        assert span <= DENSE_SPAN_FACTOR * n  # the chunk takes the dense path
+        assert np.array_equal(state.unique_ids, unique_ids)
+        assert np.array_equal(state.counts, counts)
+        assert np.array_equal(state.sizes, first_sizes)
+        assert dense_s < sort_s
+
+
+def _timed(fn, *args) -> float:
+    with Timer() as t:
+        fn(*args)
+    return t.elapsed
+
+
+def _sort_factorize(file_ids: np.ndarray, occ_sizes: np.ndarray):
+    """The factorize ``from_occurrences`` ran before the dense path: a
+    stable argsort of every occurrence under ``np.unique``."""
+    unique_ids, first, counts = np.unique(file_ids, return_index=True, return_counts=True)
+    return unique_ids, counts, occ_sizes[first]
 
 
 # -- the pre-vectorization analyzer code, kept as the before/after baseline ----

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dedup.streaming import FileDedupState, merge_dedup_states
+from repro.dedup.streaming import FileDedupState
 from repro.filetypes.catalog import (
     RARE_TYPE_BASE,
     TypeCatalog,
@@ -72,25 +72,16 @@ def _dense_type_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-type-code occurrence counts and byte sums.
 
-    Sort + ``reduceat`` groupby keeps the byte sums in int64 — unlike
-    ``np.bincount(weights=...)``, which accumulates in float64 and would
-    make merge exactness depend on magnitudes staying under 2⁵³.
+    ``np.bincount`` counts the codes and ``np.add.at`` scatters the byte
+    sums in int64 — unlike ``np.bincount(weights=...)``, which accumulates
+    in float64 and would make merge exactness depend on magnitudes staying
+    under 2⁵³. A negative code raises rather than indexing from the end.
     """
     if occ_types.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.argsort(occ_types, kind="stable")
-    sorted_types = occ_types[order]
-    starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_types)) + 1]
-    ).astype(np.int64)
-    codes = sorted_types[starts].astype(np.int64)
-    run_bytes = np.add.reduceat(occ_sizes[order], starts)
-    run_counts = np.diff(np.concatenate([starts, [sorted_types.size]]))
-    n_codes = int(codes[-1]) + 1
-    counts = np.zeros(n_codes, dtype=np.int64)
-    nbytes = np.zeros(n_codes, dtype=np.int64)
-    counts[codes] = run_counts
-    nbytes[codes] = run_bytes
+    counts = np.bincount(occ_types).astype(np.int64)
+    nbytes = np.zeros(counts.size, dtype=np.int64)
+    np.add.at(nbytes, occ_types, occ_sizes)
     return counts, nbytes
 
 

@@ -3,12 +3,16 @@
 :func:`~repro.dedup.engine.file_dedup_report` needs the whole occurrence
 array resident to bincount repeats. At paper scale (10⁹ occurrences) that is
 the memory wall, so the streaming engine folds per-chunk partials instead:
-each chunk contributes its ``np.unique`` (ids, counts, first-seen sizes),
-and partials merge by sorted concatenation — unique ids are kept sorted, so
-a merge is one concatenate + one ``np.unique`` with summed counts. The
-merged state answers every §V-B statistic *exactly* (not approximately):
-repeat percentiles come from the true multiset of per-unique-file copy
-counts, identical to what the in-memory report computes.
+each chunk collapses to its sorted unique ids, their copy counts and their
+first-sighting sizes. A chunk whose ids are dense (span within
+:data:`DENSE_SPAN_FACTOR` × its occurrence count) is factorized without a
+sort — a bincount over ``id − min`` — and a sparse one by ``np.unique``.
+Two partials merge without re-sorting their union: both id arrays are
+already sorted and unique, so ``np.searchsorted`` places one in the other,
+counts of shared ids add in place and the new ids are inserted. The merged
+state answers every §V-B statistic *exactly* (not approximately): repeat
+percentiles come from the true multiset of per-unique-file copy counts,
+identical to what the in-memory report computes.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: A chunk takes the dense (sort-free) factorize when its id span
+#: ``max − min + 1`` is at most this many times its occurrence count, because
+#: the dense path's scratch grows with the span (one count and one first
+#: index per id in it) while the sort's grows with the occurrences. For
+#: 250 k uniformly drawn ids (2-core Xeon, NumPy 2.4), peak traced bytes per
+#: occurrence and time, dense against ``np.unique``: at span = n, 56 B
+#: against 45 and 3× faster; at 2n, 74 B against 50 and 2.1× faster; by 8n,
+#: 166 B against 55 for the same time.
+DENSE_SPAN_FACTOR = 2
 
 
 @dataclass
@@ -47,17 +61,34 @@ class FileDedupState:
     def from_occurrences(
         cls, file_ids: np.ndarray, occ_sizes: np.ndarray
     ) -> "FileDedupState":
-        """Collapse one chunk's occurrence columns to a partial."""
-        if file_ids.size == 0:
+        """Collapse one chunk's occurrence columns to a partial.
+
+        ``sizes`` hold each id's size at its *first* sighting in the chunk,
+        on both the dense and the sparse path.
+        """
+        n = file_ids.size
+        if n == 0:
             return cls.empty()
-        unique_ids, first, counts = np.unique(
-            file_ids, return_index=True, return_counts=True
-        )
+        lo = int(file_ids.min())
+        span = int(file_ids.max()) - lo + 1
+        if span <= DENSE_SPAN_FACTOR * n:
+            idx = file_ids - lo
+            dense_counts = np.bincount(idx, minlength=span)
+            present = np.flatnonzero(dense_counts)
+            first = np.full(span, n, dtype=np.intp)
+            np.minimum.at(first, idx, np.arange(n, dtype=np.intp))
+            unique_ids = present + lo
+            counts = dense_counts[present]
+            first = first[present]
+        else:
+            unique_ids, first, counts = np.unique(
+                file_ids, return_index=True, return_counts=True
+            )
         return cls(
             unique_ids=unique_ids.astype(np.int64),
             counts=counts.astype(np.int64),
             sizes=occ_sizes[first].astype(np.int64),
-            n_occurrences=int(file_ids.size),
+            n_occurrences=n,
             total_bytes=int(occ_sizes.sum()),
         )
 
@@ -70,31 +101,32 @@ class FileDedupState:
         return int(self.sizes.sum())
 
     def merge(self, other: "FileDedupState") -> "FileDedupState":
-        """Fold two partials: union ids, sum counts, keep one size each."""
+        """Fold two partials: union ids, sum counts, keep one size each.
+
+        Both id arrays are sorted and unique, so ``np.searchsorted`` finds
+        where *other*'s ids fall in ours: the ids already present add their
+        counts in place (each position at most once), and the rest are
+        ``np.insert``-ed in order. A shared id keeps *self*'s size.
+        """
         if other.n_unique == 0:
-            merged = self
+            unique_ids, counts, sizes = self.unique_ids, self.counts, self.sizes
         elif self.n_unique == 0:
-            merged = other
+            unique_ids, counts, sizes = other.unique_ids, other.counts, other.sizes
         else:
-            ids = np.concatenate([self.unique_ids, other.unique_ids])
-            counts = np.concatenate([self.counts, other.counts])
-            sizes = np.concatenate([self.sizes, other.sizes])
-            unique_ids, first, inverse = np.unique(
-                ids, return_index=True, return_inverse=True
-            )
-            summed = np.zeros(unique_ids.size, dtype=np.int64)
-            np.add.at(summed, inverse, counts)
-            return FileDedupState(
-                unique_ids=unique_ids,
-                counts=summed,
-                sizes=sizes[first],
-                n_occurrences=self.n_occurrences + other.n_occurrences,
-                total_bytes=self.total_bytes + other.total_bytes,
-            )
+            a, b = self.unique_ids, other.unique_ids
+            pos = np.searchsorted(a, b)
+            hit = a[np.minimum(pos, a.size - 1)] == b
+            counts = self.counts.copy()
+            counts[pos[hit]] += other.counts[hit]
+            new = ~hit
+            at = pos[new]
+            unique_ids = np.insert(a, at, b[new])
+            counts = np.insert(counts, at, other.counts[new])
+            sizes = np.insert(self.sizes, at, other.sizes[new])
         return FileDedupState(
-            unique_ids=merged.unique_ids,
-            counts=merged.counts,
-            sizes=merged.sizes,
+            unique_ids=unique_ids,
+            counts=counts,
+            sizes=sizes,
             n_occurrences=self.n_occurrences + other.n_occurrences,
             total_bytes=self.total_bytes + other.total_bytes,
         )
@@ -145,7 +177,7 @@ def merge_dedup_states(states: list[FileDedupState]) -> FileDedupState:
     """Fold partials pairwise (balanced tree), left to right.
 
     The result is order-insensitive — ids are a set union and counts are
-    integer sums — but folding as a tree keeps each concatenate near-linear
+    integer sums — but folding as a tree keeps the total work near-linear
     instead of quadratic when thousands of chunks merge.
     """
     if not states:

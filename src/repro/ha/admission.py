@@ -177,10 +177,11 @@ class AdmissionGate:
 class TokenBucketLimiter:
     """Per-client token buckets: ``rate_per_s`` sustained, ``burst`` peak.
 
-    ``allow(client)`` spends one token from *client*'s bucket (created full
-    on first sight) and reports whether the request may proceed; when
-    denied, :meth:`retry_after` says how long until a token accrues —
-    the honest ``Retry-After`` for a 429.
+    ``admit(client)`` spends one token from *client*'s bucket (created full
+    on first sight) and returns ``0.0`` when the request may proceed, or,
+    when denied, how long until a token accrues — the honest
+    ``Retry-After`` for a 429, computed from the same clock sample as the
+    denial, so no stall before the answer can shrink it to ``0``.
     """
 
     def __init__(
@@ -211,7 +212,9 @@ class TokenBucketLimiter:
         tokens = min(float(self.burst), tokens + (now - last) * self.rate_per_s)
         return tokens
 
-    def allow(self, client: str) -> bool:
+    def admit(self, client: str) -> float:
+        """Spend one token: ``0.0`` when admitted, else the seconds until
+        *client* accrues one (always positive)."""
         now = self._clock()
         with self._lock:
             if client not in self._buckets and len(self._buckets) >= self.max_clients:
@@ -223,22 +226,17 @@ class TokenBucketLimiter:
             tokens = self._refill(client, now)
             if tokens >= 1.0:
                 self._buckets[client] = (tokens - 1.0, now)
-                return True
+                return 0.0
             self._buckets[client] = (tokens, now)
             self.denied += 1
         self.metrics.counter(
             "ratelimit_denied_total", "requests denied by the per-client limiter"
         ).inc()
-        return False
-
-    def retry_after(self, client: str) -> float:
-        """Seconds until *client* accrues one token (0 when it has one)."""
-        now = self._clock()
-        with self._lock:
-            tokens = self._refill(client, now)
-        if tokens >= 1.0:
-            return 0.0
         return (1.0 - tokens) / self.rate_per_s
+
+    def allow(self, client: str) -> bool:
+        """:meth:`admit` as a yes/no."""
+        return self.admit(client) == 0.0
 
 
 @dataclass

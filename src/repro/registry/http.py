@@ -263,11 +263,12 @@ class _Handler(KeepAliveHandler):
         limits = owner.limits
         if limits is None:
             return None
-        if limits.limiter is not None and not limits.limiter.allow(self._client_id()):
+        wait = 0.0 if limits.limiter is None else limits.limiter.admit(self._client_id())
+        if wait:
+            # Retry-After goes out in milliseconds: a sub-ms wait must not read 0
             raise _RequestRejected(
                 429, "TOOMANYREQUESTS", "client over rate limit",
-                retry_after_s=limits.limiter.retry_after(self._client_id()),
-                reason="rate_limited",
+                retry_after_s=max(wait, 0.001), reason="rate_limited",
             )
         if limits.gate is not None:
             result = limits.gate.try_acquire(timeout_s=limits.request_deadline_s)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.colstream import (
+    _dense_type_sums,
     finalize_report,
     merge_partials,
     partial_from_chunk,
@@ -19,6 +22,64 @@ from repro.synth.streamgen import (
     open_chunk_store,
     spill_chunks,
 )
+
+
+# -- the oracle: the sort + ``reduceat`` type sums, verbatim -------------------------
+
+
+def reference_dense_type_sums(
+    occ_types: np.ndarray, occ_sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    if occ_types.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(occ_types, kind="stable")
+    sorted_types = occ_types[order]
+    starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(sorted_types)) + 1]
+    ).astype(np.int64)
+    codes = sorted_types[starts].astype(np.int64)
+    run_bytes = np.add.reduceat(occ_sizes[order], starts)
+    run_counts = np.diff(np.concatenate([starts, [sorted_types.size]]))
+    n_codes = int(codes[-1]) + 1
+    counts = np.zeros(n_codes, dtype=np.int64)
+    nbytes = np.zeros(n_codes, dtype=np.int64)
+    counts[codes] = run_counts
+    nbytes[codes] = run_bytes
+    return counts, nbytes
+
+
+class TestDenseTypeSums:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        # a few codes drawn from a wide range: gaps between them, as with rare types
+        codes=st.lists(st.integers(0, 5_000), min_size=1, max_size=8),
+    )
+    def test_matches_the_sort_oracle(self, data, codes):
+        n = data.draw(st.integers(1, 150))
+        types = np.array(
+            data.draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)),
+            dtype=np.int32,
+        )
+        sizes = np.array(
+            data.draw(st.lists(st.integers(0, 1 << 52), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        got = _dense_type_sums(types, sizes)
+        want = reference_dense_type_sums(types, sizes)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_empty_input(self):
+        empty = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64)
+        for g, w in zip(_dense_type_sums(*empty), reference_dense_type_sums(*empty)):
+            assert g.dtype == np.int64 and g.size == w.size == 0
+
+    def test_negative_code_raises(self):
+        types = np.array([0, -1, 2], dtype=np.int32)
+        with pytest.raises(ValueError):
+            _dense_type_sums(types, np.array([1, 2, 3], dtype=np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -115,11 +115,12 @@ class TestTokenBucketLimiter:
         clock = FakeClock()
         limiter = TokenBucketLimiter(rate_per_s=2.0, burst=1, clock=clock)
         limiter.allow("c")
-        limiter.allow("c")
-        wait = limiter.retry_after("c")
-        assert wait > 0
+        clock.t += 0.25  # half a token accrues at 2/s
+        wait = limiter.admit("c")  # the denial carries its own wait
+        assert wait == pytest.approx(0.25)
+        assert limiter.denied == 1
         clock.t += wait
-        assert limiter.allow("c")
+        assert limiter.admit("c") == 0.0
 
     def test_clients_are_independent(self):
         clock = FakeClock()

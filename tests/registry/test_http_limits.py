@@ -21,6 +21,19 @@ class FakeClock:
         return self.t
 
 
+class SteppingClock:
+    """A clock that advances *step* seconds on every read, as if the thread
+    stalled between any two samples."""
+
+    def __init__(self, step: float):
+        self.t = 0.0
+        self.step = step
+
+    def __call__(self):
+        self.t += self.step
+        return self.t
+
+
 def build_registry() -> Registry:
     registry = Registry()
     registry.create_repository("library/app")
@@ -205,3 +218,22 @@ class TestClientErrorMapping:
                 session.ping()
             assert excinfo.value.retry_after_s is not None
             assert excinfo.value.retry_after_s > 0
+
+    # At 30 tokens/s, 20 ms between clock reads accrues 0.6 token: the
+    # denial is 0.4 token short (13 ms), and a second sample taken after it
+    # would find a whole token and answer Retry-After: 0. At 33.3 ms a read
+    # the denial is 0.001 token (33 us) short, sent as the 1 ms floor.
+    @pytest.mark.parametrize("step, wait", [(0.02, 0.013), (0.0333, 0.001)])
+    def test_retry_after_comes_from_the_denying_clock_sample(self, step, wait):
+        from repro.downloader.session import RateLimitedError
+
+        limiter = TokenBucketLimiter(rate_per_s=30.0, burst=1, clock=SteppingClock(step))
+        limits = ServerLimits.default(gate=None, limiter=limiter)
+        with (
+            RegistryHTTPServer(build_registry(), limits=limits) as server,
+            HTTPSession(server.base_url) as session,
+        ):
+            assert session.ping()
+            with pytest.raises(RateLimitedError) as excinfo:
+                session.ping()
+            assert excinfo.value.retry_after_s == pytest.approx(wait)

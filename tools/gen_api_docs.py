@@ -460,8 +460,10 @@ manifest, giving analysis a picklable `ChunkSpec` handle per chunk.
 `colstream` folds each chunk into a `ColumnarPartial` — occurrence/type
 tallies, log-bucketed `repro.stats.Histogram`s (mergeable bucket-wise
 via `Histogram.merge`, which refuses mismatched bases), a
-`FileDedupState` (sorted unique file ids + counts + sizes, merged with
-`np.unique` over concatenations), and layer-sharing tallies — and
+`FileDedupState` (sorted unique file ids + counts + first-sighting
+sizes: a bincount factorize for a dense id span, `np.unique` for a sparse
+one; merged by `np.searchsorted` + `np.insert`), and
+layer-sharing tallies — and
 `merge_partials` folds partials in a balanced tree. Every merged
 quantity is an int64 integer, so merging is bit-exact under any
 grouping; floats are derived only in `finalize_report`, from the same
