@@ -9,7 +9,7 @@ Subcommands::
     repro ablate      hub.npz [--experiment a1|a2]
     repro pipeline    --scale tiny [--dataset out.npz] [--profiles out.jsonl]
     repro experiments --out EXPERIMENTS.md              # full paper-vs-measured
-    repro bench       [--tiny] [--columnar] [--out BENCH_pipeline.json]  # perf bench
+    repro bench       [--scales tiny,mid] [--columnar]  # serial-identity gate
     repro loadtest    --seed 3 [--proxy] [--http]       # serving load test
     repro chaos       --seed 7 --plan smoke             # fault-injected pipeline
     repro cluster     --replicas 3 --seed 7 [--overload]  # HA serving exercise
@@ -165,52 +165,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark the pipeline's analysis phase: "
-        "serial/thread/process x cold/warm profile cache; writes "
-        "BENCH_pipeline.json",
+        help="check that every parallel mode and cache state gives the "
+        "serial answer; exit 1 on any failed check",
     )
     _add_seed(p)
     p.add_argument(
         "--scales", default="tiny,mid",
-        help="comma-separated hub scales to measure (tiny,mid,small)",
-    )
-    p.add_argument(
-        "--modes", default="serial,thread,process",
-        help="comma-separated parallel modes to measure",
-    )
-    p.add_argument(
-        "--workers", type=int, help="pool workers (default: cpu count)"
-    )
-    p.add_argument(
-        "--repeats", type=int, default=1,
-        help="timings per matrix cell; the fastest is kept",
-    )
-    p.add_argument(
-        "--tiny", action="store_true",
-        help="tiny scale only — the CI smoke configuration",
+        help="comma-separated hub scales (tiny,mid,small; with --columnar "
+        "also 10m,full)",
     )
     p.add_argument(
         "--columnar", action="store_true",
-        help="benchmark the streaming columnar engine instead of the "
-        "materialized analyzer (mode x cold/warm over a spilled chunk store)",
-    )
-    p.add_argument(
-        "--columnar-scales", default=None,
-        help="comma-separated columnar scales (tiny,mid,small,10m,full); "
-        "default mid,10m — with --tiny, just tiny",
-    )
-    p.add_argument(
-        "--chunk-occurrences", type=int, default=None,
-        help="occurrence budget per spilled chunk (columnar only)",
-    )
-    p.add_argument(
-        "--no-in-memory-check", action="store_true",
-        help="skip the streaming-vs-in-memory equivalence pass (columnar "
-        "only; for scales that only fit chunked)",
-    )
-    p.add_argument(
-        "--out", type=Path, default=Path("BENCH_pipeline.json"),
-        help="where to write the JSON record",
+        help="check the streaming columnar engine over a spilled chunk "
+        "store instead of the materialized analyzer and scanner",
     )
     _add_flags(p, "--json")
 
@@ -368,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(p, "--json")
     p.add_argument("--out", type=Path, help="also write the JSON report here")
-    p.add_argument(
-        "--bench-out", type=Path,
-        help="merge the sweep into this BENCH_pipeline.json as its "
-        "'tiers' section",
-    )
 
     return parser
 
@@ -682,72 +644,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.core.bench import (
-        BENCH_SCALES,
-        COLUMNAR_SCALES,
-        DEFAULT_COLUMNAR_SCALES,
-        render_bench,
-        run_columnar_bench,
-        run_pipeline_bench,
-    )
+    from repro.core.bench import COLUMNAR_SCALES, SCALES, render_checks, run_bench
 
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if args.columnar:
-        if args.columnar_scales:
-            scales = tuple(
-                s.strip() for s in args.columnar_scales.split(",") if s.strip()
-            )
-        else:
-            scales = ("tiny",) if args.tiny else DEFAULT_COLUMNAR_SCALES
-        for scale in scales:
-            if scale not in COLUMNAR_SCALES:
-                print(
-                    f"unknown columnar scale {scale!r}; known: "
-                    f"{', '.join(COLUMNAR_SCALES)}",
-                    file=sys.stderr,
-                )
-                return 2
-        doc = run_columnar_bench(
-            scales=scales,
-            modes=modes,
-            seed=args.seed,
-            workers=args.workers,
-            repeats=args.repeats,
-            chunk_occurrences=args.chunk_occurrences,
-            check_in_memory=not args.no_in_memory_check,
-            out=args.out,
+    scales = tuple(s.strip() for s in args.scales.split(",") if s.strip())
+    known = COLUMNAR_SCALES if args.columnar else SCALES
+    if not scales or any(scale not in known for scale in scales):
+        print(
+            f"unknown scale in {args.scales!r}; known: {', '.join(known)}",
+            file=sys.stderr,
         )
-        print(json_module.dumps(doc, indent=2, sort_keys=True) if args.json
-              else render_bench(doc))
-        print(f"wrote {args.out}")
-        ok = (
-            doc["summary"]["all_identical_to_serial"]
-            and doc["summary"]["all_in_memory_identical"]
-        )
-        return 0 if ok else 1
-
-    scales = ("tiny",) if args.tiny else tuple(
-        s.strip() for s in args.scales.split(",") if s.strip()
-    )
-    for scale in scales:
-        if scale not in BENCH_SCALES:
-            print(
-                f"unknown scale {scale!r}; known: {', '.join(BENCH_SCALES)}",
-                file=sys.stderr,
-            )
-            return 2
-    doc = run_pipeline_bench(
-        scales=scales,
-        modes=modes,
-        seed=args.seed,
-        workers=args.workers,
-        repeats=args.repeats,
-        out=args.out,
-    )
-    print(json_module.dumps(doc, indent=2, sort_keys=True) if args.json
-          else render_bench(doc))
-    print(f"wrote {args.out}")
-    return 0 if doc["summary"]["all_identical_to_serial"] else 1
+        return 2
+    checks = run_bench(scales, columnar=args.columnar, seed=args.seed)
+    ok = all(check.ok for check in checks)
+    if args.json:
+        doc = {"checks": [check.to_dict() for check in checks], "ok": ok}
+        print(json_module.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(render_checks(checks))
+    return 0 if ok else 1
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
@@ -961,11 +875,6 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
     if args.out:
         args.out.write_text(report.to_json() + "\n")
         print(f"wrote {args.out}")
-    if args.bench_out:
-        from repro.core.bench import attach_tiers_section
-
-        attach_tiers_section(args.bench_out, report.to_dict())
-        print(f"merged tiers section into {args.bench_out}")
     return 0 if exercise is None or exercise.ok else 1
 
 

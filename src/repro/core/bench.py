@@ -1,83 +1,76 @@
-"""The pipeline benchmark harness behind ``repro bench``.
+"""The serial-identity gate behind ``repro bench``.
 
-Measures the analysis phase of the materialized pipeline — the paper's
-§III-C hot path — across the full execution matrix:
+The paper's §III analysis was one parallel job over the whole hub. Here
+that job runs through :mod:`repro.parallel.pool` in serial, thread or
+process mode, and its one contract is that every mode and every cache
+state gives the serial answer. This module checks that contract and
+nothing else: it times nothing and writes no file (speed is measured by
+``benchmarks/e2e``). Each check reads its evidence from the code under
+test's own counters, never from the component whose behaviour it checks:
 
-    {serial, thread, process}  x  {cold cache, warm cache}
-
-at two or three synthetic-hub scales, and writes the result as
-``BENCH_pipeline.json``. Each scale materializes, crawls, and downloads
-once; every matrix cell then re-analyzes the same downloaded blobs, so the
-numbers isolate exactly what the sharded analyzer changed. Every cell also
-re-checks that its dataset is byte-identical to the serial reference —
-a benchmark that got a different answer faster measures nothing.
-
-The cold/warm pair quantifies the profile cache: a warm run on an
-unchanged corpus should skip (close to) 100 % of extractions, the
-repeat-analysis analogue of the paper's §V-A layer-sharing saving.
-
-The document also carries one dedup-scan cell (``scan`` key): a cold and
-a warm :class:`~repro.scan.scanner.DedupScanner` pass over the smallest
-scale, timing unique-layer extraction throughput and checking that the
-warm pass extracts nothing.
-
-``repro bench --columnar`` runs the streaming columnar family instead
-(``columnar`` key): each scale spills the chunked synthetic hub once, then
-times :func:`~repro.core.colstream.streaming_report` over the store for
-every mode, cold (fresh store, page cache empty-ish) and warm (second pass
-over the same store). Every cell's serialized report is byte-compared to
-the serial reference, and — because the whole point is that streaming is a
-pure refactor of the monolithic computation — each scale also checks the
-streaming report against the in-memory :func:`report_from_dataset` answer.
-Format version 3 adds this family plus per-run ``effective_workers`` and
-``cpu_count``.
-
-Format version 4 adds the ``tiers`` section: the tiered cache hierarchy
-sweep from ``repro tiers --bench-out`` (per-tier hit ratios, origin
-offload, and virtual-time p99 per (edge capacity x policy) cell), merged
-into the document by :func:`attach_tiers_section`.
+* **pipeline** — materialize, crawl and download a hub once, then analyze
+  it in every mode with a cold and then a warm :class:`ProfileCache`.
+  Every cell must match the serial, uncached :func:`_fingerprint`; a warm
+  cell must count no ``analyzer_cache_misses_total``; a cold thread or
+  process cell must have started :data:`WORKERS` pool workers.
+* **scan** — a cold then a warm :class:`~repro.scan.scanner.DedupScanner`
+  pass over the smallest scale: the same findings, and no
+  ``scan_layers_extracted_total`` on the warm pass.
+* **columnar** — spill the chunked hub into at least :data:`MIN_CHUNKS`
+  chunks and run :func:`streaming_report` in every mode: thread and
+  process must equal serial, each on :data:`WORKERS` workers, and serial
+  must equal the in-memory :func:`report_from_dataset` of the same hub.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import math
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.cache import ProfileCache
+from repro.core.colstream import report_from_dataset, streaming_report
 from repro.crawler.crawler import HubCrawler
 from repro.downloader.downloader import Downloader
 from repro.downloader.session import SimulatedSession
-from repro.obs import MetricsRegistry
+from repro.exercise import SeededHub
+from repro.obs import MetricsRegistry, counter_total
 from repro.parallel.pool import ParallelConfig
 from repro.registry.search import HubSearchEngine
 from repro.synth.config import SyntheticHubConfig
 from repro.synth.hubgen import generate_dataset
-from repro.synth.materialize import materialize_registry
-from repro.util.timer import Timer
+from repro.synth.streamgen import (
+    DEFAULT_CHUNK_OCCURRENCES,
+    iter_dataset_chunks,
+    open_chunk_store,
+    spill_chunks,
+)
 
-BENCH_FORMAT_VERSION = 4
+MODES = ("serial", "thread", "process")
 
-#: scales the harness knows how to build, smallest first. ``mid`` is a
-#: bench-only preset: tiny's layer shape at 4x the image count, so the
-#: default matrix finishes in well under a minute even on one core.
-#: ``small`` keeps the heavier integration-test shape and is opt-in.
-BENCH_SCALES = ("tiny", "mid", "small")
+#: a fixed pool size rather than the CPU count: a pool of one takes
+#: ``map_shards``' serial path, and a thread or process cell run that way
+#: would only compare serial with serial
+WORKERS = 2
 
-_DEFAULT_SCALES = ("tiny", "mid")
-_DEFAULT_MODES = ("serial", "thread", "process")
+#: the columnar store is cut into at least this many chunks, so every
+#: parallel cell has shards to hand to each of its workers
+MIN_CHUNKS = 8
 
-#: columnar-only scales on top of :data:`BENCH_SCALES`. ``10m`` crosses the
-#: issue's 10⁷-occurrence bar (~10.2 M file occurrences); ``full`` is the
-#: whole bench preset (~38 M occurrences, ~0.7 % of paper image count).
-COLUMNAR_SCALES = BENCH_SCALES + ("10m", "full")
-DEFAULT_COLUMNAR_SCALES = ("mid", "10m")
+#: scales the materialized pipeline can build, smallest first. ``mid`` is
+#: tiny's layer shape at 4x the image count; ``small`` keeps the heavier
+#: integration-test shape and is opt-in.
+SCALES = ("tiny", "mid", "small")
+
+#: the columnar family adds two scales that only fit chunked: ``10m``
+#: (~10.2 M file occurrences) and ``full``, the whole bench preset (~38 M).
+COLUMNAR_SCALES = SCALES + ("10m", "full")
 
 
-def _scale_config(scale: str, seed: int) -> SyntheticHubConfig:
+def scale_config(scale: str, seed: int) -> SyntheticHubConfig:
+    """The hub configuration a bench *scale* names."""
     if scale == "mid":
         return replace(
             SyntheticHubConfig.tiny(seed=seed),
@@ -85,88 +78,50 @@ def _scale_config(scale: str, seed: int) -> SyntheticHubConfig:
             n_rare_types=40,
             n_official=10,
         )
-    if scale not in BENCH_SCALES:
-        raise ValueError(
-            f"unknown bench scale {scale!r}; expected one of {BENCH_SCALES}"
-        )
-    return getattr(SyntheticHubConfig, scale)(seed=seed)
-
-
-def _columnar_scale_config(scale: str, seed: int) -> SyntheticHubConfig:
     if scale == "10m":
         return replace(SyntheticHubConfig.bench(seed=seed), n_images=800)
     if scale == "full":
         return SyntheticHubConfig.bench(seed=seed)
-    if scale not in BENCH_SCALES:
+    if scale not in SCALES:
         raise ValueError(
-            f"unknown columnar scale {scale!r}; expected one of {COLUMNAR_SCALES}"
+            f"unknown bench scale {scale!r}; expected one of {COLUMNAR_SCALES}"
         )
-    return _scale_config(scale, seed)
+    return getattr(SyntheticHubConfig, scale)(seed=seed)
 
 
-def _pool_workers(metrics: MetricsRegistry, mode: str) -> int:
-    """Read back how many workers the last dispatch actually started."""
-    from repro.obs import counter_total
+@dataclass(frozen=True)
+class Check:
+    """One checked cell: ``ok`` and what was seen."""
 
-    return int(counter_total(metrics, "parallel_pool_workers", mode=mode))
-
-
-@dataclass
-class BenchRun:
-    """One cell of the mode x cache matrix."""
-
-    mode: str
-    cache: str  # "cold" | "warm"
-    analyze_s: float
-    n_layers: int
-    n_images: int
-    n_file_occurrences: int
-    layers_per_s: float
-    files_per_s: float
-    cache_stats: dict[str, int]
-    extraction_skip_fraction: float
-    identical_to_serial: bool
-    effective_workers: int  # from the parallel_pool_workers gauge
-    cpu_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cache": self.cache,
-            "analyze_s": round(self.analyze_s, 6),
-            "n_layers": self.n_layers,
-            "n_images": self.n_images,
-            "n_file_occurrences": self.n_file_occurrences,
-            "layers_per_s": round(self.layers_per_s, 3),
-            "files_per_s": round(self.files_per_s, 3),
-            "cache_stats": self.cache_stats,
-            "extraction_skip_fraction": round(self.extraction_skip_fraction, 4),
-            "identical_to_serial": self.identical_to_serial,
-            "effective_workers": self.effective_workers,
-            "cpu_count": self.cpu_count,
-        }
-
-
-@dataclass
-class ScaleBench:
-    """Everything measured at one hub scale."""
-
+    family: str  # "pipeline" | "scan" | "columnar"
     scale: str
-    n_images: int
-    n_layers: int
-    setup_s: float
-    download_s: float
-    runs: list[BenchRun] = field(default_factory=list)
+    cell: str  # "thread/cold", "process", "warm", ...
+    ok: bool
+    detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "n_images": self.n_images,
-            "n_layers": self.n_layers,
-            "setup_s": round(self.setup_s, 6),
-            "download_s": round(self.download_s, 6),
-            "runs": [run.to_dict() for run in self.runs],
-        }
+        return asdict(self)
+
+
+def _check(
+    family: str, scale: str, cell: str, problems: list[str], evidence: str
+) -> Check:
+    """A check that fails with its *problems*, or passes on *evidence*."""
+    return Check(
+        family, scale, cell, not problems, "; ".join(problems) or evidence
+    )
+
+
+def _worker_problems(metrics: MetricsRegistry, mode: str) -> list[str]:
+    """Complain unless the last dispatch in *mode* started a real pool."""
+    workers = int(counter_total(metrics, "parallel_pool_workers", mode=mode))
+    return [] if workers >= WORKERS else [f"ran on {workers} worker"]
+
+
+def _parallel(mode: str) -> ParallelConfig:
+    return ParallelConfig(
+        mode=mode, workers=WORKERS, chunk_size=8, min_parallel_items=0
+    )
 
 
 def _fingerprint(analysis) -> tuple:
@@ -181,157 +136,53 @@ def _fingerprint(analysis) -> tuple:
     )
 
 
-def bench_scale(
-    scale: str,
-    *,
-    seed: int = 2017,
-    modes: tuple[str, ...] = _DEFAULT_MODES,
-    workers: int | None = None,
-    repeats: int = 1,
-    cache_root: str | Path | None = None,
-) -> ScaleBench:
-    """Run the mode x cache matrix at one scale.
-
-    ``repeats`` re-times each cell and keeps the fastest run (cold cells
-    reset their cache directory each repeat, warm cells keep it warm).
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    config = _scale_config(scale, seed)
-    with Timer() as setup_t:
-        template = generate_dataset(config)
-        registry, truth = materialize_registry(
-            template,
-            fail_share=config.fail_share,
-            fail_auth_share=config.fail_auth_share,
-            seed=config.seed,
-        )
-        crawl = HubCrawler(HubSearchEngine(registry, seed=config.seed)).crawl()
-    with Timer() as download_t:
-        downloader = Downloader(
-            SimulatedSession(registry, seed=config.seed),
-            parallel=ParallelConfig(mode="thread", workers=workers),
-        )
-        images = downloader.download_all(crawl.repositories)
+def check_pipeline(scale: str, hub: SeededHub) -> list[Check]:
+    """Every mode x {cold, warm} profile cache against the serial,
+    uncached analysis of *hub*."""
+    registry = hub.registry
+    crawl = HubCrawler(HubSearchEngine(registry, seed=hub.config.seed)).crawl()
+    downloader = Downloader(
+        SimulatedSession(registry, seed=hub.config.seed),
+        parallel=ParallelConfig(mode="thread", workers=WORKERS),
+    )
+    images = downloader.download_all(crawl.repositories)
     pull_counts = {r.name: r.pull_count for r in registry.repositories()}
 
     def analyze(mode: str, cache: ProfileCache | None):
-        parallel = ParallelConfig(
-            mode=mode, workers=workers, chunk_size=8, min_parallel_items=0
-        )
         metrics = MetricsRegistry()
         analyzer = Analyzer(
-            downloader.dest,
-            parallel=parallel,
-            cache=cache,
-            metrics=metrics,
+            downloader.dest, parallel=_parallel(mode), cache=cache, metrics=metrics
         )
-        with Timer() as t:
-            analysis = analyzer.analyze(images, pull_counts)
-        return analysis, t.elapsed, metrics
+        return _fingerprint(analyzer.analyze(images, pull_counts)), metrics
 
-    reference_analysis, _, _ = analyze("serial", None)
-    reference = _fingerprint(reference_analysis)
-    bench = ScaleBench(
-        scale=scale,
-        n_images=reference_analysis.n_images,
-        n_layers=reference_analysis.n_layers,
-        setup_s=setup_t.elapsed,
-        download_s=download_t.elapsed,
-    )
-
-    own_tmp = tempfile.TemporaryDirectory() if cache_root is None else None
-    root = Path(own_tmp.name if own_tmp is not None else cache_root)
-    try:
-        for mode in modes:
-            cache_dir = root / scale / mode
-            for cache_state in ("cold", "warm"):
-                best: BenchRun | None = None
-                for _ in range(repeats):
-                    if cache_state == "cold" and cache_dir.exists():
-                        _clear_tree(cache_dir)
-                    analysis, elapsed, metrics = analyze(mode, ProfileCache(cache_dir))
-                    totals = analysis.dataset.totals()
-                    stats = analysis.cache_stats
-                    lookups = stats["hits"] + stats["misses"]
-                    run = BenchRun(
-                        mode=mode,
-                        cache=cache_state,
-                        analyze_s=elapsed,
-                        n_layers=analysis.n_layers,
-                        n_images=analysis.n_images,
-                        n_file_occurrences=int(totals.n_file_occurrences),
-                        layers_per_s=(
-                            analysis.n_layers / elapsed if elapsed > 0 else 0.0
-                        ),
-                        files_per_s=(
-                            totals.n_file_occurrences / elapsed
-                            if elapsed > 0
-                            else 0.0
-                        ),
-                        cache_stats=stats,
-                        extraction_skip_fraction=(
-                            stats["hits"] / lookups if lookups else 0.0
-                        ),
-                        identical_to_serial=_fingerprint(analysis) == reference,
-                        effective_workers=_pool_workers(metrics, mode),
-                        cpu_count=os.cpu_count() or 1,
+    reference, _ = analyze("serial", None)
+    checks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in MODES:
+            for state in ("cold", "warm"):
+                got, metrics = analyze(mode, ProfileCache(Path(tmp) / mode))
+                problems = [] if got == reference else ["MISMATCH with serial"]
+                if state == "warm":
+                    misses = int(
+                        counter_total(metrics, "analyzer_cache_misses_total")
                     )
-                    if best is None or run.analyze_s < best.analyze_s:
-                        best = run
-                assert best is not None
-                bench.runs.append(best)
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
-    return bench
+                    if misses:
+                        problems.append(f"{misses} cache misses on a warm cache")
+                    evidence = "identical to serial, no cache misses"
+                elif mode != "serial":
+                    problems += _worker_problems(metrics, mode)
+                    evidence = f"identical to serial on {WORKERS} workers"
+                else:
+                    evidence = "identical to serial"
+                checks.append(
+                    _check("pipeline", scale, f"{mode}/{state}", problems, evidence)
+                )
+    return checks
 
 
-def _clear_tree(path: Path) -> None:
-    import shutil
-
-    shutil.rmtree(path, ignore_errors=True)
-
-
-@dataclass
-class ScanBench:
-    """Cold/warm throughput of one dedup-aware vulnerability scan."""
-
-    scale: str
-    mode: str
-    n_images: int
-    n_unique_layers: int
-    cold_s: float
-    warm_s: float
-    cold_layers_per_s: float
-    warm_extractions: int
-    savings_ratio: float
-    findings_identical: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "mode": self.mode,
-            "n_images": self.n_images,
-            "n_unique_layers": self.n_unique_layers,
-            "cold_s": round(self.cold_s, 6),
-            "warm_s": round(self.warm_s, 6),
-            "cold_layers_per_s": round(self.cold_layers_per_s, 3),
-            "warm_extractions": self.warm_extractions,
-            "savings_ratio": round(self.savings_ratio, 4),
-            "findings_identical": self.findings_identical,
-        }
-
-
-def bench_scan(
-    scale: str = "tiny",
-    *,
-    seed: int = 2017,
-    mode: str = "thread",
-    workers: int | None = None,
-) -> ScanBench:
-    """Time a cold then a warm :class:`DedupScanner` pass over one hub."""
-    from repro.obs import counter_total
+def check_scan(scale: str, hub: SeededHub) -> Check:
+    """A warm :class:`DedupScanner` pass must reproduce the cold findings
+    without extracting a layer."""
     from repro.scan.cache import ScanCache
     from repro.scan.scanner import DedupScanner, targets_from_truth
     from repro.synth.lineage import (
@@ -341,15 +192,8 @@ def bench_scan(
         generate_lineage,
     )
 
-    config = _scale_config(scale, seed)
-    dataset = generate_dataset(config)
-    registry, truth = materialize_registry(
-        dataset,
-        fail_share=config.fail_share,
-        fail_auth_share=config.fail_auth_share,
-        seed=config.seed,
-    )
-    targets = targets_from_truth(registry, truth)
+    seed = hub.config.seed
+    targets = targets_from_truth(hub.registry, hub.truth)
     lineage = generate_lineage(
         [t.name for t in targets],
         [t.pull_count for t in targets],
@@ -357,431 +201,103 @@ def bench_scan(
     )
     db = SyntheticCveDatabase(seed=seed)
     model = PackageModel(seed=seed)
-    parallel = ParallelConfig(
-        mode=mode, workers=workers, chunk_size=8, min_parallel_items=0
-    )
 
-    def scan(cache: ScanCache, metrics: MetricsRegistry):
+    def scan(cache_dir: str) -> tuple[str, int]:
+        metrics = MetricsRegistry()
         scanner = DedupScanner(
-            registry.blobs, db, model,
-            parallel=parallel, cache=cache, metrics=metrics,
+            hub.registry.blobs, db, model,
+            parallel=_parallel("thread"),
+            cache=ScanCache(cache_dir, db_version=db.version()),
+            metrics=metrics,
         )
-        with Timer() as t:
-            report = scanner.scan(targets, lineage)
-        return report, t.elapsed
+        findings = scanner.scan(targets, lineage).findings_json()
+        return findings, int(counter_total(metrics, "scan_layers_extracted_total"))
 
     with tempfile.TemporaryDirectory() as tmp:
-        cold_report, cold_s = scan(ScanCache(tmp, db_version=db.version()),
-                                   MetricsRegistry())
-        warm_metrics = MetricsRegistry()
-        warm_report, warm_s = scan(ScanCache(tmp, db_version=db.version()),
-                                   warm_metrics)
-        warm_extractions = int(
-            counter_total(warm_metrics, "scan_layers_extracted_total")
-        )
-
-    return ScanBench(
-        scale=scale,
-        mode=mode,
-        n_images=cold_report.n_images,
-        n_unique_layers=cold_report.n_unique_layers,
-        cold_s=cold_s,
-        warm_s=warm_s,
-        cold_layers_per_s=(
-            cold_report.n_unique_layers / cold_s if cold_s > 0 else 0.0
-        ),
-        warm_extractions=warm_extractions,
-        savings_ratio=cold_report.savings_ratio,
-        findings_identical=(
-            cold_report.findings_json() == warm_report.findings_json()
-        ),
+        cold, _ = scan(tmp)
+        warm, extracted = scan(tmp)
+    problems = [] if warm == cold else ["MISMATCH with the cold findings"]
+    if extracted:
+        problems.append(f"{extracted} layers extracted on a warm cache")
+    return _check(
+        "scan", scale, "warm", problems, "cold findings, no layer extracted"
     )
 
 
-@dataclass
-class ColumnarRun:
-    """One cell of the columnar mode x store-temperature matrix."""
-
-    mode: str
-    cache: str  # "cold" | "warm"
-    analyze_s: float
-    n_chunks: int
-    n_occurrences: int
-    files_per_s: float
-    identical_to_serial: bool
-    effective_workers: int
-    cpu_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cache": self.cache,
-            "analyze_s": round(self.analyze_s, 6),
-            "n_chunks": self.n_chunks,
-            "n_occurrences": self.n_occurrences,
-            "files_per_s": round(self.files_per_s, 3),
-            "identical_to_serial": self.identical_to_serial,
-            "effective_workers": self.effective_workers,
-            "cpu_count": self.cpu_count,
-        }
-
-
-@dataclass
-class ColumnarScaleBench:
-    """Streaming columnar analysis measured at one hub scale."""
-
-    scale: str
-    n_layers: int
-    n_chunks: int
-    n_occurrences: int
-    chunk_occurrences: int
-    generate_spill_s: float
-    store_bytes: int
-    in_memory_identical: bool | None  # None when the check was skipped
-    runs: list[ColumnarRun] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "n_layers": self.n_layers,
-            "n_chunks": self.n_chunks,
-            "n_occurrences": self.n_occurrences,
-            "chunk_occurrences": self.chunk_occurrences,
-            "generate_spill_s": round(self.generate_spill_s, 6),
-            "store_bytes": self.store_bytes,
-            "in_memory_identical": self.in_memory_identical,
-            "runs": [run.to_dict() for run in self.runs],
-        }
-
-
-def bench_columnar(
-    scale: str,
-    *,
-    seed: int = 2017,
-    modes: tuple[str, ...] = _DEFAULT_MODES,
-    workers: int | None = None,
-    repeats: int = 1,
-    chunk_occurrences: int | None = None,
-    check_in_memory: bool = True,
-) -> ColumnarScaleBench:
-    """Run the streaming columnar matrix at one scale.
-
-    Generates and spills the chunked hub once (timed as setup, not as a
-    cell), then times :func:`streaming_report` per mode: ``cold`` is the
-    first pass over the freshly written store, ``warm`` the best of
-    *repeats* further passes. Every cell byte-compares its serialized
-    report to the serial cold reference; with *check_in_memory* the scale
-    additionally proves the streaming answer equals the monolithic
-    :func:`report_from_dataset` one — that comparison regenerates the hub
-    as a full in-memory dataset, so switch it off for scales that only fit
-    chunked.
-    """
-    from repro.core.colstream import report_from_dataset, streaming_report
-    from repro.synth.hubgen import generate_dataset
-    from repro.synth.streamgen import (
+def check_columnar(scale: str, seed: int = 2017) -> list[Check]:
+    """The streaming engine over a spilled store, in every mode, against
+    the in-memory engine over the same hub."""
+    config = scale_config(scale, seed)
+    dataset = generate_dataset(config)
+    expected = report_from_dataset(dataset).to_json()
+    budget = min(
         DEFAULT_CHUNK_OCCURRENCES,
-        iter_dataset_chunks,
-        open_chunk_store,
-        spill_chunks,
+        math.ceil(dataset.n_file_occurrences / MIN_CHUNKS),
     )
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if scale not in COLUMNAR_SCALES:
-        raise ValueError(
-            f"unknown columnar scale {scale!r}; expected one of {COLUMNAR_SCALES}"
-        )
-    config = _columnar_scale_config(scale, seed)
-    budget = chunk_occurrences or DEFAULT_CHUNK_OCCURRENCES
+    del dataset  # the spill below regenerates the hub chunk by chunk
 
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "chunks"
-        with Timer() as setup_t:
-            spill_chunks(
-                iter_dataset_chunks(config, chunk_occurrences=budget), store
-            )
+        spill_chunks(iter_dataset_chunks(config, chunk_occurrences=budget), store)
         specs = open_chunk_store(store)
-        store_bytes = sum(p.stat().st_size for p in store.iterdir())
-        n_occurrences = sum(s.n_occurrences for s in specs)
 
-        def run_report(mode: str):
+        def report(mode: str) -> tuple[str, MetricsRegistry]:
             metrics = MetricsRegistry()
-            parallel = ParallelConfig(
-                mode=mode, workers=workers, min_parallel_items=0
+            got = streaming_report(specs, parallel=_parallel(mode), metrics=metrics)
+            return got.to_json(), metrics
+
+        reference, _ = report("serial")
+        checks = [
+            _check(
+                "columnar", scale, "serial",
+                [] if reference == expected else ["MISMATCH with in-memory"],
+                f"identical to in-memory over {len(specs)} chunks",
             )
-            with Timer() as t:
-                report = streaming_report(
-                    specs, parallel=parallel, metrics=metrics
+        ]
+        for mode in MODES:
+            if mode == "serial":
+                continue
+            got, metrics = report(mode)
+            problems = [] if got == reference else ["MISMATCH with serial"]
+            problems += _worker_problems(metrics, mode)
+            checks.append(
+                _check(
+                    "columnar", scale, mode, problems,
+                    f"identical to serial on {WORKERS} workers",
                 )
-            return report.to_json(), t.elapsed, _pool_workers(metrics, mode)
-
-        reference, _, _ = run_report("serial")
-        bench = ColumnarScaleBench(
-            scale=scale,
-            n_layers=specs[-1].layer_end if specs else 0,
-            n_chunks=len(specs),
-            n_occurrences=n_occurrences,
-            chunk_occurrences=budget,
-            generate_spill_s=setup_t.elapsed,
-            store_bytes=store_bytes,
-            in_memory_identical=None,
-        )
-        for mode in modes:
-            for cache_state in ("cold", "warm"):
-                best: ColumnarRun | None = None
-                for _ in range(1 if cache_state == "cold" else repeats):
-                    got, elapsed, eff = run_report(mode)
-                    run = ColumnarRun(
-                        mode=mode,
-                        cache=cache_state,
-                        analyze_s=elapsed,
-                        n_chunks=len(specs),
-                        n_occurrences=n_occurrences,
-                        files_per_s=(
-                            n_occurrences / elapsed if elapsed > 0 else 0.0
-                        ),
-                        identical_to_serial=got == reference,
-                        effective_workers=eff,
-                        cpu_count=os.cpu_count() or 1,
-                    )
-                    if best is None or run.analyze_s < best.analyze_s:
-                        best = run
-                assert best is not None
-                bench.runs.append(best)
-
-    if check_in_memory:
-        dataset = generate_dataset(config)
-        bench.in_memory_identical = (
-            report_from_dataset(dataset).to_json() == reference
-        )
-    return bench
+            )
+    return checks
 
 
-def run_columnar_bench(
+def run_bench(
+    scales: tuple[str, ...],
     *,
-    scales: tuple[str, ...] = DEFAULT_COLUMNAR_SCALES,
-    modes: tuple[str, ...] = _DEFAULT_MODES,
+    columnar: bool = False,
     seed: int = 2017,
-    workers: int | None = None,
-    repeats: int = 1,
-    chunk_occurrences: int | None = None,
-    check_in_memory: bool = True,
-    out: str | Path | None = None,
-) -> dict:
-    """Benchmark the streaming columnar engine and write the v3 record."""
-    results = [
-        bench_columnar(
-            scale,
-            seed=seed,
-            modes=modes,
-            workers=workers,
-            repeats=repeats,
-            chunk_occurrences=chunk_occurrences,
-            check_in_memory=check_in_memory,
-        )
-        for scale in scales
-    ]
-    largest = results[-1]
-    warm_best = {
-        run.mode: run.files_per_s
-        for run in largest.runs
-        if run.cache == "warm"
-    }
-    serial_warm = warm_best.get("serial", 0.0)
-    process_warm = warm_best.get("process", 0.0)
-    doc = {
-        "version": BENCH_FORMAT_VERSION,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "repeats": repeats,
-        "columnar": [bench.to_dict() for bench in results],
-        "summary": {
-            "all_identical_to_serial": all(
-                run.identical_to_serial
-                for bench in results
-                for run in bench.runs
-            ),
-            "all_in_memory_identical": all(
-                bench.in_memory_identical in (True, None) for bench in results
-            ),
-            "largest_scale": largest.scale,
-            "largest_n_occurrences": largest.n_occurrences,
-            "largest_warm_files_per_s": {
-                mode: round(v, 3) for mode, v in sorted(warm_best.items())
-            },
-            "process_vs_serial_warm_speedup": (
-                round(process_warm / serial_warm, 3) if serial_warm > 0 else None
-            ),
-        },
-    }
-    if out is not None:
-        Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
+) -> list[Check]:
+    """Every check of one family over *scales*: the pipeline (plus the
+    scan on the smallest scale), or with *columnar* the streaming engine."""
+    known = COLUMNAR_SCALES if columnar else SCALES
+    if not scales or any(scale not in known for scale in scales):
+        raise ValueError(f"bench scales {list(scales)!r}; expected some of {known}")
+    if columnar:
+        return [check for scale in scales for check in check_columnar(scale, seed)]
+    smallest = min(scales, key=SCALES.index)
+    checks = []
+    for scale in scales:
+        hub = SeededHub(scale_config(scale, seed), failures=True)
+        checks += check_pipeline(scale, hub)
+        if scale == smallest:
+            checks.append(check_scan(scale, hub))
+    return checks
 
 
-def run_pipeline_bench(
-    *,
-    scales: tuple[str, ...] = _DEFAULT_SCALES,
-    modes: tuple[str, ...] = _DEFAULT_MODES,
-    seed: int = 2017,
-    workers: int | None = None,
-    repeats: int = 1,
-    out: str | Path | None = None,
-) -> dict:
-    """Benchmark every scale and write the JSON record to *out*.
-
-    The returned document (and file) carries per-cell throughput, the
-    cold-vs-warm extraction-skip fraction, and a summary comparing
-    process-mode to serial cold-run throughput at the largest scale.
-    """
-    results = [
-        bench_scale(
-            scale,
-            seed=seed,
-            modes=modes,
-            workers=workers,
-            repeats=repeats,
-        )
-        for scale in scales
-    ]
-
-    def cell(bench: ScaleBench, mode: str, cache: str) -> BenchRun | None:
-        for run in bench.runs:
-            if run.mode == mode and run.cache == cache:
-                return run
-        return None
-
-    scan = bench_scan(scales[0], seed=seed, workers=workers)
-
-    largest = results[-1]
-    serial_cold = cell(largest, "serial", "cold")
-    process_cold = cell(largest, "process", "cold")
-    warm_skips = [
-        run.extraction_skip_fraction
-        for bench in results
-        for run in bench.runs
-        if run.cache == "warm"
-    ]
-    doc = {
-        "version": BENCH_FORMAT_VERSION,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "repeats": repeats,
-        "scales": [bench.to_dict() for bench in results],
-        "scan": scan.to_dict(),
-        "summary": {
-            "all_identical_to_serial": all(
-                run.identical_to_serial for bench in results for run in bench.runs
-            ),
-            "process_vs_serial_cold_speedup": (
-                round(process_cold.layers_per_s / serial_cold.layers_per_s, 3)
-                if process_cold is not None
-                and serial_cold is not None
-                and serial_cold.layers_per_s > 0
-                else None
-            ),
-            "min_warm_extraction_skip_fraction": (
-                round(min(warm_skips), 4) if warm_skips else None
-            ),
-            "scan_warm_zero_extractions": scan.warm_extractions == 0,
-        },
-    }
-    if out is not None:
-        Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
-
-
-def attach_tiers_section(path: Path | str, tiers_doc: dict) -> dict:
-    """Merge a tiered-cache sweep report into a BENCH_pipeline.json.
-
-    Loads the existing document (or starts a fresh stub when *path* does
-    not exist yet), sets its ``tiers`` key, and stamps the current
-    ``BENCH_FORMAT_VERSION`` — the sweep is part of the versioned bench
-    record, not a side file. Returns the merged document.
-    """
-    path = Path(path)
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"seed": tiers_doc.get("config", {}).get("seed"), "cpu_count": os.cpu_count()}
-    doc["tiers"] = tiers_doc
-    doc["version"] = BENCH_FORMAT_VERSION
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
-
-
-def render_bench(doc: dict) -> str:
-    """A human-readable table of a :func:`run_pipeline_bench` or
-    :func:`run_columnar_bench` document."""
+def render_checks(checks: list[Check]) -> str:
+    """One ``[ok ]`` / ``[FAIL]`` line per check, then the tally."""
     lines = [
-        f"pipeline bench (seed {doc['seed']}, {doc['cpu_count']} cpus, "
-        f"workers {doc['workers'] or 'auto'})"
+        f"  [{'ok ' if c.ok else 'FAIL'}] {c.family}/{c.scale} {c.cell}: {c.detail}"
+        for c in checks
     ]
-    for bench in doc.get("scales", []):
-        lines.append(
-            f"  {bench['scale']}: {bench['n_images']} images / "
-            f"{bench['n_layers']} layers "
-            f"(setup {bench['setup_s']:.2f}s, download {bench['download_s']:.2f}s)"
-        )
-        for run in bench["runs"]:
-            check = "ok" if run["identical_to_serial"] else "MISMATCH"
-            lines.append(
-                f"    {run['mode']:>7}/{run['cache']:<4} "
-                f"{run['analyze_s']:8.3f}s  "
-                f"{run['layers_per_s']:10.1f} layers/s  "
-                f"skip {run['extraction_skip_fraction']:6.1%}  [{check}]"
-            )
-    scan = doc.get("scan")
-    if scan is not None:
-        check = "ok" if scan["findings_identical"] else "MISMATCH"
-        lines.append(
-            f"  scan ({scan['scale']}/{scan['mode']}): "
-            f"{scan['n_unique_layers']} unique layers, "
-            f"cold {scan['cold_s']:.3f}s "
-            f"({scan['cold_layers_per_s']:.1f} layers/s), "
-            f"warm {scan['warm_s']:.3f}s "
-            f"({scan['warm_extractions']} extractions), "
-            f"dedup {scan['savings_ratio']:.2f}x  [{check}]"
-        )
-    for bench in doc.get("columnar", []):
-        mem = bench["in_memory_identical"]
-        mem_note = (
-            "in-memory ok" if mem else
-            ("in-memory check skipped" if mem is None else "IN-MEMORY MISMATCH")
-        )
-        lines.append(
-            f"  columnar/{bench['scale']}: {bench['n_occurrences']:,} occurrences "
-            f"in {bench['n_chunks']} chunks "
-            f"({bench['store_bytes'] / 1e6:.1f} MB store, "
-            f"spill {bench['generate_spill_s']:.2f}s)  [{mem_note}]"
-        )
-        for run in bench["runs"]:
-            check = "ok" if run["identical_to_serial"] else "MISMATCH"
-            lines.append(
-                f"    {run['mode']:>7}/{run['cache']:<4} "
-                f"{run['analyze_s']:8.3f}s  "
-                f"{run['files_per_s']:12,.0f} files/s  "
-                f"workers {run['effective_workers']:>2}  [{check}]"
-            )
-    summary = doc["summary"]
-    speedup = summary.get("process_vs_serial_cold_speedup")
-    if speedup is not None:
-        lines.append(f"  process/serial cold speedup: {speedup:.2f}x")
-    warm_speedup = summary.get("process_vs_serial_warm_speedup")
-    if warm_speedup is not None:
-        lines.append(f"  process/serial warm speedup: {warm_speedup:.2f}x")
-    min_skip = summary.get("min_warm_extraction_skip_fraction")
-    if min_skip is not None:
-        lines.append(f"  min warm extraction skip: {min_skip:.1%}")
-    lines.append(
-        "  results identical to serial: "
-        + ("yes" if summary["all_identical_to_serial"] else "NO")
-    )
-    if "all_in_memory_identical" in summary:
-        lines.append(
-            "  streaming identical to in-memory: "
-            + ("yes" if summary["all_in_memory_identical"] else "NO")
-        )
+    passed = sum(c.ok for c in checks)
+    lines.append(f"{passed}/{len(checks)} checks ok")
     return "\n".join(lines)

@@ -383,11 +383,16 @@ than serving profiles typed under a dead taxonomy. Wire it in with
 cache_dir=...)`, or `repro pipeline --cache DIR`; a warm run over an
 unchanged corpus skips every extraction (`analysis.cache_stats`).
 
-`repro bench` measures all of it: the materialized pipeline's analysis
-phase across {serial, thread, process} × {cold, warm cache} at two or
-three scales, written to `BENCH_pipeline.json` with per-cell throughput,
-the warm-run extraction-skip fraction, and an identical-to-serial check
-per cell. `--tiny` is the CI smoke form.""",
+`repro bench` (`repro.core.bench`) gates all of it without timing any
+of it: `check_pipeline` analyzes one downloaded hub in every
+{serial, thread, process} × {cold, warm cache} cell and requires the
+serial, uncached dataset fingerprint in each, zero
+`analyzer_cache_misses_total` on a warm cell and two started workers
+(`parallel_pool_workers`) on a cold thread/process cell. The pool size
+is fixed at `WORKERS = 2`, since a pool of one takes `map_shards`'
+serial path and would compare serial with serial. Each cell is a frozen
+`Check(family, scale, cell, ok, detail)`; the command writes no file and
+exits 1 on any failed check. `--scales tiny` is the CI form.""",
     ),
     (
         "Lineage & dedup-aware vulnerability scanning",
@@ -439,7 +444,8 @@ so cold and warm runs compare equal too).
 `repro scan --scale tiny --cache DIR` runs it; `--db-revision` bumps the
 feed; `--selfcheck` runs the invariant exercise (all modes cold, then a
 warm rerun) and exits 1 on any violation — that is the CI `scan-smoke`
-job, and `repro bench` carries a scan cold/warm throughput cell.""",
+job, and `repro bench` checks a cold/warm pair (`check_scan`: same
+findings, no layer extracted warm).""",
     ),
     (
         "Streaming columnar analysis",
@@ -476,13 +482,13 @@ count, no worker count). `streaming_report(specs, parallel=...)`
 dispatches specs through the same `repro.parallel.map_shards` as the
 analyzer; a failed shard raises instead of silently dropping a chunk.
 
-`repro bench --columnar` measures it: per scale, one generation+spill
-pass, then {serial, thread, process} × {cold, warm} passes over the
-store reporting files/sec, an identical-to-serial check per cell, an
-optional in-memory equivalence check, and per-run `effective_workers` /
-`cpu_count` (format v3 of `BENCH_pipeline.json`). The `10m` scale
-(~10.2 M occurrences, ~200 MB spilled) is the ≥10⁷ acceptance point;
-`full` (~38 M) is the paper-shaped run. Related but separate:
+`repro bench --columnar` checks it (`check_columnar`): per scale the hub
+is spilled into at least `MIN_CHUNKS = 8` chunks, thread and process
+reports must equal the serial one on two workers each, and the serial
+report must equal `report_from_dataset` over the same hub. The `10m`
+scale (~10.2 M occurrences, ~204 MB spilled) is the ≥10⁷ acceptance
+point; `full` (~38 M) is the paper-shaped run. Speed is the e2e
+`columnar` workload's to measure. Related but separate:
 `ProfileStore.to_dataset` deliberately keeps a fused single-pass dict
 factorize (NumPy string `np.unique` measured ~5x slower;
 `benchmarks/bench_colstream.py` keeps the comparison executable), while
@@ -525,9 +531,8 @@ strands bytes.
 `repro tiers` runs the sweep (defaults: 10⁶ clients, 1.2 M pulls);
 `--smoke` runs the reduced sweep plus the invariant exercise —
 determinism, offload monotone in edge capacity, live HTTP 304/206 —
-and exits 1 on any violation (the CI `tiers-smoke` job);
-`--bench-out BENCH_pipeline.json` merges the sweep into the bench record
-as its `tiers` section (format v4).""",
+and exits 1 on any violation (the CI `tiers-smoke` job); `--out`
+writes the sweep as JSON.""",
     ),
 ]
 
