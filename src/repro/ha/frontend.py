@@ -84,11 +84,9 @@ class _UpstreamAnswer:
 
 
 class _FrontendHandler(KeepAliveHandler):
-    # -- plumbing ---------------------------------------------------------------
+    owner: "FailoverFrontend"
 
-    @property
-    def frontend(self) -> "FailoverFrontend":
-        return self.server.frontend  # type: ignore[attr-defined]
+    # -- plumbing ---------------------------------------------------------------
 
     def _respond(self, answer: _UpstreamAnswer, *, head: bool = False) -> None:
         self.send_response(answer.status)
@@ -96,7 +94,7 @@ class _FrontendHandler(KeepAliveHandler):
         for key, value in answer.headers.items():
             self.send_header(key, value)
         self.end_headers()
-        if not head:
+        if answer.body and not head:
             self.wfile.write(answer.body)
 
     def _refuse(self, message: str, *, retry_after_s: float) -> None:
@@ -125,19 +123,19 @@ class _FrontendHandler(KeepAliveHandler):
     # -- verbs -------------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802
-        self.frontend._handle_read(self, head=False)
+        self.owner._handle_read(self, head=False)
 
     def do_HEAD(self) -> None:  # noqa: N802
-        self.frontend._handle_read(self, head=True)
+        self.owner._handle_read(self, head=True)
 
     def do_POST(self) -> None:  # noqa: N802
-        self.frontend._handle_write(self, "POST")
+        self.owner._handle_write(self, "POST")
 
     def do_PATCH(self) -> None:  # noqa: N802
-        self.frontend._handle_write(self, "PATCH")
+        self.owner._handle_write(self, "PATCH")
 
     def do_PUT(self) -> None:  # noqa: N802
-        self.frontend._handle_write(self, "PUT")
+        self.owner._handle_write(self, "PUT")
 
 
 class FailoverFrontend(ServerBase):
@@ -168,7 +166,6 @@ class FailoverFrontend(ServerBase):
         #: keep-alive connections to the replicas, shared by handler threads
         self._upstream = Transport()
         super().__init__(_FrontendHandler, port)
-        self._httpd.frontend = self  # type: ignore[attr-defined]
         self._read_lock = threading.Lock()
         self._read_count = 0
         self.stats = {

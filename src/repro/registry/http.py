@@ -21,7 +21,8 @@ across a genuine network boundary:
 How connections live is :mod:`repro.registry.transport`'s business: the
 server runs on its :class:`~repro.registry.transport.ServerBase` (HTTP/1.1
 keep-alive, Nagle off, every connection shut down on ``stop()`` /
-``kill()``), and each client owns a
+``kill()``, and a halted server freed by refcount once its caller lets
+go), and each client owns a
 :class:`~repro.registry.transport.Transport` pool — close it with
 ``close()`` or a ``with`` block. A client call is headers, one
 ``request()``, and one map from ``(status, headers, body)`` to a typed
@@ -45,6 +46,12 @@ before a request's body was read (a refusal, an injected fault, an
 unmatched write path) carries ``Connection: close``, so the unread bytes
 are never parsed as the next request on a kept-alive connection.
 
+An upload is held once. A monolithic one (``POST``, then a ``PUT`` with
+the whole blob) is read off the socket in one piece, hashed once, compared
+with the ``?digest=`` it names and only then stored, as the very bytes
+read; a session buffer exists only once a ``PATCH`` arrives, and the final
+``PUT`` body is appended to it.
+
 Auth mirrors the registry's model: repositories flagged ``requires_auth``
 return 401 unless a ``Bearer`` token is presented.
 """
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import re
 import socket
 import threading
@@ -154,9 +162,9 @@ class _RequestRejected(Exception):
 
 
 class _Handler(KeepAliveHandler):
-    """Request handler bound to a server carrying the registry."""
+    """Request handler; ``self.owner`` is the :class:`RegistryHTTPServer`."""
 
-    server: "RegistryHTTPServer"
+    owner: "RegistryHTTPServer"
     _payload_faults = None
     _body_read = False
 
@@ -179,7 +187,7 @@ class _Handler(KeepAliveHandler):
             # connection its bytes would parse as the next request line
             self.send_header("Connection", "close")
         self.end_headers()
-        if self.command != "HEAD":
+        if body and self.command != "HEAD":
             self.wfile.write(body)
 
     def _send_json(self, status: int, doc: dict, extra: dict | None = None) -> None:
@@ -207,7 +215,7 @@ class _Handler(KeepAliveHandler):
         survives any storm.
         """
         self._payload_faults = None
-        injector = getattr(self.server, "fault_injector", None)
+        injector = self.owner.fault_injector
         if injector is None or endpoint == "metrics":
             return False
         faults = injector.plan(endpoint, urllib.parse.urlparse(self.path).path)
@@ -252,8 +260,8 @@ class _Handler(KeepAliveHandler):
         drain refusal first (the server is going away), then the per-client
         limiter (one hog must not reach the shared gate), then the gate.
         """
-        owner = getattr(self.server, "owner", None)
-        if owner is None or endpoint in _UNGATED_ENDPOINTS:
+        owner = self.owner
+        if endpoint in _UNGATED_ENDPOINTS:
             return None
         if owner.draining:
             raise _RequestRejected(
@@ -284,7 +292,7 @@ class _Handler(KeepAliveHandler):
         extra = {}
         if rejected.retry_after_s is not None:
             extra["Retry-After"] = f"{rejected.retry_after_s:.3f}"
-        self.server.metrics.counter(
+        self.owner.metrics.counter(
             "registry_http_rejected_total",
             "requests shed or refused before handling",
             endpoint=endpoint,
@@ -299,7 +307,8 @@ class _Handler(KeepAliveHandler):
     def _observed(self, handler) -> None:
         """Run one request handler under admission control and per-endpoint
         metrics accounting."""
-        metrics = self.server.metrics
+        owner = self.owner
+        metrics = owner.metrics
         self._body_read = False
         endpoint = _endpoint_of(urllib.parse.urlparse(self.path).path)
         # count on receipt, not in the finally: a client that got its bytes
@@ -310,7 +319,6 @@ class _Handler(KeepAliveHandler):
             endpoint=endpoint,
             method=self.command,
         ).inc()
-        owner = getattr(self.server, "owner", None)
         start = time.perf_counter()
         try:
             try:
@@ -318,8 +326,7 @@ class _Handler(KeepAliveHandler):
             except _RequestRejected as rejected:
                 self._reject(rejected, endpoint)
                 return
-            if owner is not None:
-                owner._request_began()
+            owner._request_began()
             try:
                 if not self._inject_fault(endpoint):
                     handler()
@@ -328,8 +335,7 @@ class _Handler(KeepAliveHandler):
             finally:
                 if gate is not None:
                     gate.release()
-                if owner is not None:
-                    owner._request_ended()
+                owner._request_ended()
         finally:
             metrics.histogram(
                 "registry_http_request_seconds",
@@ -379,10 +385,8 @@ class _Handler(KeepAliveHandler):
                 400, "BAD_REQUEST", f"bad Content-Length: {header!r}",
                 reason="bad_length",
             ) from None
-        owner = getattr(self.server, "owner", None)
-        max_bytes = _DEFAULT_MAX_BODY_BYTES
-        if owner is not None and owner.limits is not None:
-            max_bytes = owner.limits.max_body_bytes
+        limits = self.owner.limits
+        max_bytes = _DEFAULT_MAX_BODY_BYTES if limits is None else limits.max_body_bytes
         if length > max_bytes:
             raise _RequestRejected(
                 413, "PAYLOAD_TOO_LARGE",
@@ -399,10 +403,10 @@ class _Handler(KeepAliveHandler):
             self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": self.path}]})
             return
         self._body()  # drain
-        uuid = self.server.start_upload()
+        upload_id = self.owner._start_upload()
         self._send(
             202, b"", "text/plain",
-            {"Location": f"/v2/{match['name']}/blobs/uploads/{uuid}"},
+            {"Location": f"/v2/{match['name']}/blobs/uploads/{upload_id}"},
         )
 
     def _patch(self) -> None:
@@ -411,7 +415,7 @@ class _Handler(KeepAliveHandler):
             self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": self.path}]})
             return
         chunk = self._body()
-        total = self.server.append_upload(match["uuid"], chunk)
+        total = self.owner._append_upload(match["uuid"], chunk)
         if total is None:
             self._send_json(
                 404, {"errors": [{"code": "BLOB_UPLOAD_UNKNOWN", "message": match["uuid"]}]}
@@ -428,12 +432,12 @@ class _Handler(KeepAliveHandler):
     def _put(self) -> None:
         parsed = urllib.parse.urlparse(self.path)
         query = urllib.parse.parse_qs(parsed.query)
-        registry = self.server.registry
+        registry = self.owner.registry
         match = _UPLOAD_RE.match(parsed.path)
         if match:
             expected = query.get("digest", [""])[0]
             final_chunk = self._body()
-            data = self.server.finish_upload(match["uuid"], final_chunk)
+            data = self.owner._finish_upload(match["uuid"], final_chunk)
             if data is None:
                 self._send_json(
                     404,
@@ -494,7 +498,7 @@ class _Handler(KeepAliveHandler):
         Both answer 202 (the v2 convention for accepted deletions): the tag
         mapping is gone immediately, the bytes await garbage collection."""
         path = urllib.parse.urlparse(self.path).path
-        registry = self.server.registry
+        registry = self.owner.registry
         try:
             match = _MANIFEST_RE.match(path)
             if match:
@@ -516,7 +520,7 @@ class _Handler(KeepAliveHandler):
         parsed = urllib.parse.urlparse(self.path)
         path = parsed.path
         query = urllib.parse.parse_qs(parsed.query)
-        registry = self.server.registry
+        registry = self.owner.registry
         try:
             if path == "/v2/" or path == "/v2":
                 self._send_json(200, {})
@@ -531,7 +535,7 @@ class _Handler(KeepAliveHandler):
                 self._search(query)
                 return
             if path == "/metrics":
-                body = self.server.metrics.render_prometheus().encode()
+                body = self.owner.metrics.render_prometheus().encode()
                 self._send(200, body, "text/plain; version=0.0.4")
                 return
             match = _MANIFEST_RE.match(path)
@@ -554,10 +558,10 @@ class _Handler(KeepAliveHandler):
     def _healthz(self) -> None:
         """Readiness: 200 while serving, 503 while draining (a frontend
         must stop routing here before the socket actually closes)."""
-        owner = getattr(self.server, "owner", None)
-        draining = owner is not None and owner.draining
+        owner = self.owner
+        draining = owner.draining
         doc = {"ready": not draining}
-        if owner is not None and owner.limits is not None and owner.limits.gate is not None:
+        if owner.limits is not None and owner.limits.gate is not None:
             doc.update(owner.limits.gate.stats())
         self._send_json(503 if draining else 200, doc)
 
@@ -576,7 +580,7 @@ class _Handler(KeepAliveHandler):
         given = self.headers.get("If-None-Match")
         if given is not None:
             matched = given.strip().strip('"') == digest
-            self.server.metrics.counter(
+            self.owner.metrics.counter(
                 "registry_http_conditional_total",
                 "conditional manifest requests by outcome",
                 outcome="not_modified" if matched else "modified",
@@ -624,7 +628,7 @@ class _Handler(KeepAliveHandler):
                 end = min(end, total - 1)
             else:
                 end = total - 1
-        range_counter = lambda outcome: self.server.metrics.counter(  # noqa: E731
+        range_counter = lambda outcome: self.owner.metrics.counter(  # noqa: E731
             "registry_http_range_total",
             "range blob requests by outcome",
             outcome=outcome,
@@ -648,7 +652,7 @@ class _Handler(KeepAliveHandler):
         return True
 
     def _catalog(self, query: dict) -> None:
-        repos = self.server.registry.catalog()
+        repos = self.owner.registry.catalog()
         n = int(query.get("n", ["100"])[0])
         last = query.get("last", [""])[0]
         start = repos.index(last) + 1 if last in repos else 0
@@ -660,10 +664,10 @@ class _Handler(KeepAliveHandler):
         page_num = int(query.get("page", ["1"])[0])
         if q == "" and "official" in query:
             self._send_json(
-                200, {"results": self.server.search.official_repositories()}
+                200, {"results": self.owner.search.official_repositories()}
             )
             return
-        page = self.server.search.search(q, page=page_num)
+        page = self.owner.search.search(q, page=page_num)
         self._send_json(
             200,
             {
@@ -701,19 +705,11 @@ class RegistryHTTPServer(ServerBase):
         self._clock = clock
         self.draining = False
         super().__init__(_Handler, port)
-        # expose registry/search/uploads to handlers through the server object
-        self._httpd.registry = registry  # type: ignore[attr-defined]
-        self._httpd.search = self.search  # type: ignore[attr-defined]
-        self._httpd.metrics = self.metrics  # type: ignore[attr-defined]
-        self._httpd.fault_injector = fault_injector  # type: ignore[attr-defined]
-        self._httpd.owner = self  # type: ignore[attr-defined]
-        #: upload id -> (buffer, created-at); age-GCed so abandoned PATCH
-        #: sessions cannot grow memory forever
-        self._uploads: dict[str, tuple[bytearray, float]] = {}
+        #: upload id -> (PATCHed bytes so far, created-at); the buffer is
+        #: None until the first PATCH. Age-GCed so abandoned sessions cannot
+        #: grow memory forever
+        self._uploads: dict[str, tuple[bytearray | None, float]] = {}
         self._uploads_lock = threading.Lock()
-        self._httpd.start_upload = self._start_upload  # type: ignore[attr-defined]
-        self._httpd.append_upload = self._append_upload  # type: ignore[attr-defined]
-        self._httpd.finish_upload = self._finish_upload  # type: ignore[attr-defined]
         self._inflight = 0
         self._inflight_cond = threading.Condition()
 
@@ -740,12 +736,12 @@ class RegistryHTTPServer(ServerBase):
         return self.limits.upload_ttl_s if self.limits is not None else 300.0
 
     def _start_upload(self) -> str:
-        import uuid as uuid_module
-
         self.gc_uploads()
-        upload_id = str(uuid_module.uuid4())
+        # 128 random bits, as a uuid4 has; importing uuid would cost every
+        # process that imports this module ~0.4 MB of RSS
+        upload_id = os.urandom(16).hex()
         with self._uploads_lock:
-            self._uploads[upload_id] = (bytearray(), self._clock())
+            self._uploads[upload_id] = (None, self._clock())
         return upload_id
 
     def _append_upload(self, upload_id: str, chunk: bytes) -> int | None:
@@ -753,16 +749,26 @@ class RegistryHTTPServer(ServerBase):
             entry = self._uploads.get(upload_id)
             if entry is None:
                 return None
-            entry[0].extend(chunk)
-            return len(entry[0])
+            buffer, created = entry
+            if buffer is None:
+                buffer = bytearray()
+                self._uploads[upload_id] = (buffer, created)
+            buffer.extend(chunk)
+            return len(buffer)
 
     def _finish_upload(self, upload_id: str, final_chunk: bytes) -> bytes | None:
+        """The whole upload, or None for an unknown id. With no PATCH
+        before it, that is the PUT body itself: a monolithic upload is
+        held once, never copied."""
         with self._uploads_lock:
             entry = self._uploads.pop(upload_id, None)
-            if entry is None:
-                return None
-            entry[0].extend(final_chunk)
-            return bytes(entry[0])
+        if entry is None:
+            return None
+        buffer = entry[0]
+        if buffer is None:
+            return final_chunk
+        buffer.extend(final_chunk)
+        return bytes(buffer)
 
     def gc_uploads(self, *, now: float | None = None) -> int:
         """Expire upload sessions older than the TTL; returns how many.

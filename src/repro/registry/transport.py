@@ -47,11 +47,16 @@ with control characters or non-ASCII bytes) a 400. It keeps the stdlib's
 ``//`` path normalisation, ``Connection`` rules and ``Expect:
 100-continue``; any other request line (HTTP/0.9, 2.0, garbage)
 goes to ``BaseHTTPRequestHandler.parse_request``, which answers it as it
-always has. Nagle's algorithm is off: a response leaves in two writes
-(headers, then body), and with Nagle on the second waits for the client's
-delayed ACK on every kept-alive exchange. :class:`ServerBase` serves from
-a daemon thread and tracks every accepted connection, so halting it shuts
-them all down — a killed replica cannot keep answering on a pooled socket.
+always has. Nagle's algorithm is off: a response leaves in at most two
+writes (headers, then the body if it has one), and with Nagle on the
+second waits for the client's delayed ACK on every kept-alive exchange.
+:class:`ServerBase` serves from a daemon thread and tracks every accepted
+connection and its handler thread, so halting it shuts them all down and
+waits for the handlers — a killed replica cannot keep answering on a
+pooled socket. A handler reaches its server through one link, a weak
+reference it resolves once per connection, so nothing refers back to a
+halted server: its caller's last reference frees it, and all it serves,
+by refcount, without waiting for the cyclic GC.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import select
 import socket
 import threading
 import urllib.parse
+import weakref
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import BinaryIO
@@ -334,10 +340,20 @@ class Transport:
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
     """Request-handler base: HTTP/1.1 keep-alive, Nagle off, no access log,
-    and its own request framing (see the module docstring)."""
+    and its own request framing (see the module docstring).
+
+    ``self.owner`` is the :class:`ServerBase` serving this connection,
+    resolved once per connection in :meth:`setup`."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    owner: "ServerBase"
+
+    def setup(self) -> None:
+        """Resolve :attr:`owner` for this connection. It is never None:
+        halting the server joins this thread before it returns."""
+        super().setup()
+        self.owner = self.server.owner()  # type: ignore[attr-defined]
 
     def parse_request(self) -> bool:
         """Parse the request line and headers; on failure the error answer
@@ -380,45 +396,65 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 
 
 class _TrackingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server that knows its open connections."""
+    """A threading HTTP server that knows its open connections and the
+    thread serving each, and reaches its :class:`ServerBase` only through
+    a weak reference (``owner``), so the pair forms no reference cycle."""
 
-    def __init__(self, address: tuple[str, int], handler: type[KeepAliveHandler]):
-        self._open: set[socket.socket] = set()
+    def __init__(
+        self, address: tuple[str, int], handler: type[KeepAliveHandler], owner: "ServerBase"
+    ):
+        self.owner = weakref.ref(owner)
+        #: open connection -> the thread handling it
+        self._open: dict[socket.socket, threading.Thread] = {}
         # held across shutdown-and-close so a socket is never shut down
         # after its descriptor was closed (and possibly reused)
         self._open_lock = threading.Lock()
         super().__init__(address, handler)
 
-    def get_request(self):
-        sock, address = super().get_request()
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
         with self._open_lock:
-            self._open.add(sock)
-        return sock, address
+            self._open[request] = thread
+        thread.start()
 
     def shutdown_request(self, request) -> None:
         with self._open_lock:
-            self._open.discard(request)
+            self._open.pop(request, None)
             super().shutdown_request(request)
 
     def close_connections(self) -> None:
-        """Shut down every open connection; its handler thread then sees
-        EOF and exits, and clients see a reset or EOF."""
+        """Shut down every open connection, then wait for the threads
+        handling them: an idle one sees EOF and exits at once, a busy one
+        when its request ends (its writes fail, clients see a reset or
+        EOF). Call it only once the accept loop has stopped."""
         with self._open_lock:
+            threads = list(self._open.values())
             for sock in self._open:
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # the peer already went away
+        for thread in threads:
+            thread.join()
 
 
 class ServerBase:
     """Serve a :class:`KeepAliveHandler` subclass on 127.0.0.1 (ephemeral
-    port by default) from a daemon thread. Subclasses hang what their
-    handler needs on ``self._httpd`` (the handler's ``self.server``) and
-    define ``stop()``; :meth:`_halt` is the hard stop both build on."""
+    port by default) from a daemon thread. Handlers reach the server as
+    ``self.owner``; subclasses define ``stop()``, and :meth:`_halt` is the
+    hard stop both build on.
+
+    Lifetime: the serving thread holds the server while it runs, and each
+    connection's handler while it is open, so a server nobody else holds
+    keeps serving. Once :meth:`_halt` returns, neither does: the listening
+    socket's server refers back to this object only weakly, so dropping
+    the last reference frees it (and everything it serves) by refcount,
+    without waiting for the cyclic GC."""
 
     def __init__(self, handler: type[KeepAliveHandler], port: int = 0):
-        self._httpd = _TrackingHTTPServer(("127.0.0.1", port), handler)
+        self._httpd = _TrackingHTTPServer(("127.0.0.1", port), handler, self)
         self._thread: threading.Thread | None = None
 
     @property
@@ -432,13 +468,18 @@ class ServerBase:
     def start(self):
         if self._thread is not None:
             raise RuntimeError(f"{type(self).__name__} already started")
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # the bound method is the serving thread's strong reference
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self) -> None:
+        self._httpd.serve_forever()
+
     def _halt(self) -> None:
-        """Stop accepting, shut down every open connection, close the
-        listening socket. In-flight requests die mid-response."""
+        """Stop accepting, shut down every open connection and wait for
+        its handler, close the listening socket. In-flight requests die
+        mid-response."""
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join()

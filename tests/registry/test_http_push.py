@@ -1,10 +1,13 @@
 """HTTP push-path tests: the Fig. 1 push arrow over a real socket."""
 
+import tracemalloc
+import urllib.parse
+
 import pytest
 
 from repro.model.manifest import Manifest, ManifestLayerRef
 from repro.registry.errors import RegistryError
-from repro.registry.http import HTTPSession, RegistryHTTPServer
+from repro.registry.http import HTTPSession, RegistryHTTPServer, _Handler
 from repro.registry.registry import Registry
 from repro.registry.tarball import layer_from_files
 from repro.util.digest import format_digest, sha256_bytes
@@ -27,11 +30,13 @@ class TestBlobUpload:
         digest = session.push_blob(b"layer-bytes")
         assert digest == sha256_bytes(b"layer-bytes")
         assert server.registry.get_blob(digest) == b"layer-bytes"
+        assert server.upload_count() == 0
 
     def test_chunked_upload(self, server, session):
         data = bytes(range(256)) * 100
         digest = session.push_blob(data, chunk_size=1000)
         assert server.registry.get_blob(digest) == data
+        assert server.upload_count() == 0
 
     def test_upload_idempotent(self, server, session):
         d1 = session.push_blob(b"same")
@@ -56,6 +61,71 @@ class TestBlobUpload:
         assert not server.registry.has_blob(sha256_bytes(b"not matching"))
         assert server.registry.blobs.count() == 0
 
+    def test_monolithic_push_holds_the_blob_once(self, server, session):
+        """One read, one hash, one store: the upload allocates about the
+        blob it keeps, not a buffer and a copy beside it."""
+        session.push_blob(b"warm the connection")
+        blob = bytes(range(256)) * (32 * 1024)  # 8 MiB
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            digest = session.push_blob(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert server.registry.get_blob(digest) == blob
+        assert peak - base <= 1.5 * len(blob)
+        assert server.upload_count() == 0
+
+    def test_patch_then_final_put_stores_the_concatenation(self, server, session):
+        location = self._open_upload(session)
+        session._fetch(location, method="PATCH", data=b"first half, ")
+        digest = sha256_bytes(b"first half, second half")
+        _, headers = session._fetch(
+            f"{location}?digest={urllib.parse.quote(digest)}",
+            method="PUT",
+            data=b"second half",
+            return_headers=True,
+        )
+        assert headers["Docker-Content-Digest"] == digest
+        assert server.registry.get_blob(digest) == b"first half, second half"
+        assert server.upload_count() == 0
+
+    def test_digest_mismatch_after_patch_stores_nothing(self, server, session):
+        location = self._open_upload(session)
+        session._fetch(location, method="PATCH", data=b"patched")
+        bogus = format_digest(7)
+        with pytest.raises(RegistryError, match="DIGEST_INVALID"):
+            session._fetch(
+                f"{location}?digest={urllib.parse.quote(bogus)}", method="PUT", data=b"tail"
+            )
+        assert server.registry.blobs.count() == 0
+        assert server.upload_count() == 0
+
+    def test_no_response_ends_in_an_empty_write(self, server, session, monkeypatch):
+        """202/201 answers carry no body: the server writes their headers
+        and nothing after them."""
+        lengths: list[int] = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = _RecordingWriter(handler.wfile, lengths)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        session.push_image("alice/web", "latest", [[("bin/app", b"\x7fELF" + b"a" * 300)]])
+        session.push_blob(bytes(range(256)) * 10, chunk_size=700)
+        # one write per answer: POST, PUT, manifest PUT; POST, 4 PATCHes, PUT
+        assert len(lengths) == 3 + 6
+        assert min(lengths) > 0
+
+    @staticmethod
+    def _open_upload(session) -> str:
+        _, headers = session._fetch(
+            "/v2/library/blobs/uploads/", method="POST", data=b"", return_headers=True
+        )
+        return headers["Location"]
+
     def test_unknown_upload_session_404(self, server, session):
         with pytest.raises(RegistryError):
             session._fetch(
@@ -63,6 +133,21 @@ class TestBlobUpload:
                 method="PATCH",
                 data=b"x",
             )
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that records the length of every write."""
+
+    def __init__(self, inner, lengths: list[int]):
+        self._inner = inner
+        self._lengths = lengths
+
+    def write(self, data) -> int:
+        self._lengths.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 class TestManifestPush:

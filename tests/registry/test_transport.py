@@ -6,12 +6,15 @@ a leak reported from a finalizer into a failure).
 """
 
 import email.feedparser
+import gc
 import http.client
 import io
 import socket
 import string
 import sys
 import threading
+import time
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,6 +188,84 @@ class TestServerSockets:
             with frontend, HTTPSession(frontend.base_url) as session:
                 session.get_blob(digest)
                 assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestLifetime:
+    """A halted server is freed by refcount: nothing refers back to it from
+    the listening socket's server, so the registry it served goes the
+    moment its last holder lets go, with the cyclic GC switched off."""
+
+    @pytest.fixture()
+    def no_cyclic_gc(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("halt", ["stop", "kill"])
+    def test_halted_registry_server_is_freed_by_refcount(self, halt, no_cyclic_gc):
+        server = RegistryHTTPServer(Registry()).start()
+        blobs = weakref.ref(server.registry.blobs)
+        with HTTPSession(server.base_url) as session:
+            session.push_blob(b"layer bytes")
+            getattr(server, halt)()  # the session still holds a kept-alive socket
+        del server
+        assert blobs() is None
+
+    def test_stopped_frontend_is_freed_by_refcount(self, no_cyclic_gc):
+        registry, (digest, _) = build_registry()
+        with RegistryHTTPServer(registry) as upstream:
+            frontend = FailoverFrontend(
+                [upstream.base_url], monitor=HealthMonitor([upstream.base_url])
+            ).start()
+            freed = weakref.ref(frontend)
+            with HTTPSession(frontend.base_url) as session:
+                assert sha256_bytes(session.get_blob(digest)) == digest
+                frontend.stop()
+            del frontend
+            assert freed() is None
+
+    def test_a_server_held_only_by_its_serving_thread_keeps_serving(self):
+        registry, (digest, _) = build_registry()
+        server = RegistryHTTPServer(registry).start()
+        held = weakref.ref(server)
+        with HTTPSession(server.base_url) as session:
+            session.get_blob(digest)
+            del server  # only the serving thread holds it now
+            gc.collect()
+            assert sha256_bytes(session.get_blob(digest)) == digest
+            held().stop()
+
+    def test_kill_mid_request_raises_nothing_new_in_the_handler(self):
+        registry, (digest, _) = build_registry()
+        # a 0.8-1.6 s sleep outlasts kill()'s wait for the accept loop (0.5 s)
+        injector = FaultInjector([FaultRule(kind="latency", rate=1.0, latency_s=1.6)])
+        server = RegistryHTTPServer(registry, fault_injector=injector).start()
+        raised: list[type] = []
+        server._httpd.handle_error = lambda request, address: raised.append(sys.exc_info()[0])
+        answers: list[BaseException] = []
+
+        def pull() -> None:
+            try:
+                session.get_blob(digest)
+            except TransientNetworkError as exc:
+                answers.append(exc)
+
+        with HTTPSession(server.base_url, timeout=5.0) as session:
+            client = threading.Thread(target=pull)
+            client.start()
+            while server.inflight == 0:
+                time.sleep(0.005)
+            server.kill()  # returns once the sleeping handler has ended
+            client.join()
+        # the handler finished its request on a dead socket: a failed write
+        # is the only error, never a vanished server
+        assert raised and all(issubclass(kind, OSError) for kind in raised)
+        assert len(answers) == 1
+        held = weakref.ref(server)
+        del server
+        assert held() is None
 
 
 class TestEarlyAnswersClose:
