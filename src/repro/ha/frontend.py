@@ -37,12 +37,20 @@ keep-alive pool the frontend owns (closed by :meth:`FailoverFrontend.stop`);
 its :class:`~repro.registry.transport.ConnectionFailed` is the failover
 signal. A killed replica shuts down its pooled connections, so the pool
 reconnects — and is refused — rather than reading from a dead server.
-The frontend itself runs on :class:`~repro.registry.transport.ServerBase`.
+The frontend itself runs on :class:`~repro.registry.transport.ServerBase`
+and shares the registry server's I/O: a write's body is read through
+:meth:`~repro.registry.transport.KeepAliveHandler.read_body` (a missing,
+malformed or oversized ``Content-Length`` is refused with 411, 400 or
+413 before a byte of it is read), and every answer — forwarded,
+relayed or the frontend's own 503 — is one ``(status, headers, body)``
+triple sent through
+:meth:`~repro.registry.transport.KeepAliveHandler.send_answer`. Halting
+it (``stop()``, or ``kill()`` without waiting for the accept poll) closes
+the upstream pool last.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from typing import Callable
@@ -50,10 +58,13 @@ from typing import Callable
 from repro.ha.health import HealthMonitor
 from repro.obs import MetricsRegistry
 from repro.registry.transport import (
+    Answer,
     ConnectionFailed,
     KeepAliveHandler,
+    Refused,
     ServerBase,
     Transport,
+    error_answer,
 )
 from repro.util.digest import sha256_bytes
 from repro.util.rng import derive_seed
@@ -72,70 +83,25 @@ _FORWARD_RESPONSE_HEADERS = (
 )
 
 
-class _UpstreamAnswer:
-    """A response (success or authoritative error) from one replica."""
-
-    __slots__ = ("status", "headers", "body")
-
-    def __init__(self, status: int, headers: dict, body: bytes):
-        self.status = status
-        self.headers = headers
-        self.body = body
-
-
 class _FrontendHandler(KeepAliveHandler):
+    """Every method the frontend takes is forwarded: the owner picks the
+    replica and returns the answer, this sends it."""
+
     owner: "FailoverFrontend"
 
-    # -- plumbing ---------------------------------------------------------------
+    def _forward(self) -> None:
+        headers = {
+            name: self.headers[name]
+            for name in _FORWARD_REQUEST_HEADERS
+            if name in self.headers
+        }
+        if self.command in ("GET", "HEAD"):
+            answer = self.owner._handle_read(self.command, self.path, headers)
+        else:
+            answer = self.owner._handle_write(self, headers)
+        self.send_answer(*answer)
 
-    def _respond(self, answer: _UpstreamAnswer, *, head: bool = False) -> None:
-        self.send_response(answer.status)
-        self.send_header("Content-Length", str(len(answer.body)))
-        for key, value in answer.headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        if answer.body and not head:
-            self.wfile.write(answer.body)
-
-    def _refuse(self, message: str, *, retry_after_s: float) -> None:
-        body = json.dumps(
-            {"errors": [{"code": "UNAVAILABLE", "message": message}]}
-        ).encode()
-        self._respond(
-            _UpstreamAnswer(
-                503,
-                {
-                    "Content-Type": "application/json",
-                    "Retry-After": f"{retry_after_s:.3f}",
-                },
-                body,
-            )
-        )
-
-    def _request_headers(self) -> dict[str, str]:
-        out = {}
-        for name in _FORWARD_REQUEST_HEADERS:
-            value = self.headers.get(name)
-            if value is not None:
-                out[name] = value
-        return out
-
-    # -- verbs -------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802
-        self.owner._handle_read(self, head=False)
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self.owner._handle_read(self, head=True)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self.owner._handle_write(self, "POST")
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self.owner._handle_write(self, "PATCH")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self.owner._handle_write(self, "PUT")
+    do_GET = do_HEAD = do_POST = do_PATCH = do_PUT = _forward
 
 
 class FailoverFrontend(ServerBase):
@@ -179,9 +145,9 @@ class FailoverFrontend(ServerBase):
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def stop(self) -> None:
+    def _halt(self) -> None:
         """Close every client connection, then the upstream pool."""
-        self._halt()
+        super()._halt()
         self._upstream.close()
 
     # -- accounting --------------------------------------------------------------
@@ -240,10 +206,10 @@ class FailoverFrontend(ServerBase):
         method: str,
         headers: dict[str, str],
         body: bytes | None = None,
-    ) -> _UpstreamAnswer:
+    ) -> Answer:
         """One upstream try. Raises :class:`ConnectionFailed` on
-        infrastructure failure; returns an answer (which may be an
-        authoritative error or a shed)."""
+        infrastructure failure; returns the answer (which may be an
+        authoritative error or a shed), with the forwarded headers only."""
         status, received, data = self._upstream.request(
             base, method, path, headers=headers, body=body, timeout=self.timeout_s
         )
@@ -252,7 +218,7 @@ class FailoverFrontend(ServerBase):
             value = received.get(name)
             if value is not None:
                 picked[name] = value
-        return _UpstreamAnswer(status, picked, data)
+        return status, picked, data
 
     @staticmethod
     def _failover_worthy(status: int) -> bool:
@@ -260,18 +226,16 @@ class FailoverFrontend(ServerBase):
         replica might. Everything else is the registry's actual answer."""
         return status >= 500 or status == 429
 
-    def _handle_read(self, handler: _FrontendHandler, *, head: bool) -> None:
+    def _handle_read(self, method: str, path: str, headers: dict[str, str]) -> Answer:
         self._bump("reads")
-        path = handler.path
-        headers = handler._request_headers()
         blob_match = _BLOB_PATH_RE.match(path.split("?")[0])
         routed = blob_match is not None and self.route is not None
         if routed:
             candidates = self._blob_candidates(blob_match["digest"])
         else:
             candidates = self._read_candidates()
-        shed_answer: _UpstreamAnswer | None = None
-        miss_answer: _UpstreamAnswer | None = None
+        shed_answer: Answer | None = None
+        miss_answer: Answer | None = None
         for i, base in enumerate(candidates):
             if i > 0:
                 self._bump("failovers")
@@ -279,20 +243,19 @@ class FailoverFrontend(ServerBase):
                     "frontend_failovers_total", "reads retried on another replica"
                 ).inc()
             try:
-                answer = self._attempt(
-                    base, path, method="HEAD" if head else "GET", headers=headers
-                )
+                answer = self._attempt(base, path, method=method, headers=headers)
             except ConnectionFailed as exc:
                 self.monitor.record_failure(base, f"forward failed: {exc}")
                 continue
-            if self._failover_worthy(answer.status):
+            status, received, body = answer
+            if self._failover_worthy(status):
                 shed_answer = answer
                 # shedding is not sickness: don't count it toward ejection,
                 # but a hard 5xx without Retry-After is
-                if answer.status >= 500 and "Retry-After" not in answer.headers:
-                    self.monitor.record_failure(base, f"upstream {answer.status}")
+                if status >= 500 and "Retry-After" not in received:
+                    self.monitor.record_failure(base, f"upstream {status}")
                 continue
-            if routed and answer.status == 404:
+            if routed and status == 404:
                 # under sharding, one candidate not holding the blob is
                 # normal (it may have handed it off, or rebalancing is in
                 # flight) — not replica sickness, and not the final answer
@@ -302,9 +265,9 @@ class FailoverFrontend(ServerBase):
                 continue
             if (
                 blob_match is not None
-                and not head
-                and answer.status == 200
-                and sha256_bytes(answer.body) != blob_match["digest"]
+                and method == "GET"
+                and status == 200
+                and sha256_bytes(body) != blob_match["digest"]
             ):
                 self._bump("corrupt_blocked")
                 self.metrics.counter(
@@ -315,60 +278,48 @@ class FailoverFrontend(ServerBase):
                 continue
             self.monitor.record_success(base)
             self._count_outcome("forwarded")
-            handler._respond(answer, head=head)
-            return
+            return answer
         if shed_answer is not None:
             # every replica is shedding: relay the backpressure honestly
             # (preferred over a 404 fallback — a shedder might hold the blob)
-            if "Retry-After" not in shed_answer.headers:
-                shed_answer.headers["Retry-After"] = f"{self.retry_after_s:.3f}"
+            shed_answer[1].setdefault("Retry-After", f"{self.retry_after_s:.3f}")
             self._bump("refused")
             self._count_outcome("all_shedding")
-            handler._respond(shed_answer, head=head)
-            return
+            return shed_answer
         if miss_answer is not None:
             # every owner and spare answered 404: the keyspace's real answer
             self._count_outcome("forwarded")
-            handler._respond(miss_answer, head=head)
-            return
+            return miss_answer
         self._bump("refused")
         self._count_outcome("no_replica")
-        handler._refuse("no replica available", retry_after_s=self.retry_after_s)
+        return error_answer(
+            503, "UNAVAILABLE", "no replica available", retry_after_s=self.retry_after_s
+        )
 
-    def _handle_write(self, handler: _FrontendHandler, method: str) -> None:
+    def _handle_write(self, handler: _FrontendHandler, headers: dict[str, str]) -> Answer:
+        """Forward a write to the primary; its body is read first, through
+        the handler's bounded reader (411/400/413 before a byte of it)."""
         self._bump("writes")
-        length_header = handler.headers.get("Content-Length")
-        if length_header is None:
-            handler._respond(
-                _UpstreamAnswer(
-                    411,
-                    # the body's framing is unknown: it cannot be skipped
-                    {"Content-Type": "application/json", "Connection": "close"},
-                    json.dumps(
-                        {"errors": [{"code": "LENGTH_REQUIRED",
-                                     "message": "Content-Length required"}]}
-                    ).encode(),
-                )
-            )
-            return
-        body = handler.rfile.read(int(length_header))
-        headers = handler._request_headers()
+        try:
+            body = handler.read_body()
+        except Refused as refused:
+            return refused.answer()
         base = self._write_primary()
         try:
             answer = self._attempt(
-                base, handler.path, method=method, headers=headers, body=body
+                base, handler.path, method=handler.command, headers=headers, body=body
             )
         except ConnectionFailed as exc:
             self.monitor.record_failure(base, f"write forward failed: {exc}")
             self._bump("refused")
             self._count_outcome("write_failed")
-            handler._refuse(
-                "write primary unavailable", retry_after_s=self.retry_after_s
+            return error_answer(
+                503, "UNAVAILABLE", "write primary unavailable",
+                retry_after_s=self.retry_after_s,
             )
-            return
         self.monitor.record_success(base)
         self._count_outcome("forwarded")
-        handler._respond(answer)
+        return answer
 
     def _count_outcome(self, outcome: str) -> None:
         self.metrics.counter(

@@ -18,11 +18,26 @@ across a genuine network boundary:
 * ``HTTPSearchClient`` — the crawler-facing search client, duck-compatible
   with :class:`~repro.registry.search.HubSearchEngine`.
 
+**Routing.** A request target is split once (``urlsplit`` + ``parse_qs``)
+and its path matched once against ``_ROUTES``, a table of ``(path
+pattern, endpoint label, {method: handler})``: the first pattern that
+matches the whole path gives both the bounded metrics label and the
+handler. A method the route does not take is a 404 under that label; a
+path no pattern matches is a 404 labelled ``other``. One adapter serves
+every method, in order: count the request, admit it, inject faults
+(latency, an injected 429/503, a flap that cuts the connection, payload
+faults for the blob handler), read the body (only a matched POST, PATCH
+or PUT route does), run the handler. A handler returns ``(status,
+headers, body)`` — the triple the client's ``Transport.request`` returns
+— and never touches the socket.
+
 How connections live is :mod:`repro.registry.transport`'s business: the
 server runs on its :class:`~repro.registry.transport.ServerBase` (HTTP/1.1
 keep-alive, Nagle off, every connection shut down on ``stop()`` /
-``kill()``, and a halted server freed by refcount once its caller lets
-go), and each client owns a
+``kill()``, a ``kill()`` with no accept poll to wait out, and a halted
+server freed by refcount once its caller lets go), reads bodies through
+its bounded reader and sends every answer through its one writer, and
+each client owns a
 :class:`~repro.registry.transport.Transport` pool — close it with
 ``close()`` or a ``with`` block. A client call is headers, one
 ``request()``, and one map from ``(status, headers, body)`` to a typed
@@ -37,14 +52,17 @@ The server protects itself under load when given a
 gate with a bounded queue sheds excess traffic with 503 + ``Retry-After``
 (accepted requests keep a bounded p99 instead of queueing without limit),
 a per-client token bucket 429s any one client hammering the shared gate,
-request bodies are bounded (411 without ``Content-Length``, 413 past
-``max_body_bytes``), abandoned upload sessions expire on a TTL, and
+request bodies are bounded (411 without ``Content-Length``, 400 for a
+length that is not a non-negative integer, 413 past ``max_body_bytes``),
+abandoned upload sessions expire on a TTL, and
 ``stop()`` drains gracefully — in-flight requests finish while new ones
 are refused. ``/metrics`` and ``/healthz`` bypass the gate so
 observability and health checking survive any storm. Any answer sent
 before a request's body was read (a refusal, an injected fault, an
 unmatched write path) carries ``Connection: close``, so the unread bytes
-are never parsed as the next request on a kept-alive connection.
+are never parsed as the next request on a kept-alive connection. A
+pagination number (``n`` on the catalog, ``page`` on search) that is not
+one is a 400 ``PAGINATION_NUMBER_INVALID``.
 
 An upload is held once. A monolithic one (``POST``, then a ``PUT`` with
 the whole blob) is read off the socket in one piece, hashed once, compared
@@ -81,20 +99,17 @@ from repro.registry.errors import (
 from repro.registry.registry import Registry
 from repro.registry.search import HubSearchEngine, SearchPage
 from repro.registry.transport import (
+    BODY_METHODS,
+    DEFAULT_MAX_BODY_BYTES,
+    Answer,
     ConnectionFailed,
     KeepAliveHandler,
+    Refused,
     ServerBase,
     Transport,
+    error_answer,
 )
 from repro.util.digest import sha256_bytes
-
-_MANIFEST_RE = re.compile(r"^/v2/(?P<name>.+)/manifests/(?P<ref>[^/]+)$")
-_RANGE_RE = re.compile(r"^bytes=(?P<start>\d*)-(?P<end>\d*)$")
-_BLOB_RE = re.compile(r"^/v2/(?P<name>.+)/blobs/(?P<digest>sha256:[^/]+)$")
-_TAGS_RE = re.compile(r"^/v2/(?P<name>.+)/tags/list$")
-_TAG_RE = re.compile(r"^/v2/(?P<name>.+)/tags/(?P<tag>[^/]+)$")
-_UPLOAD_START_RE = re.compile(r"^/v2/(?P<name>.+)/blobs/uploads/$")
-_UPLOAD_RE = re.compile(r"^/v2/(?P<name>.+)/blobs/uploads/(?P<uuid>[0-9a-f-]+)$")
 
 #: registry error -> (HTTP status, v2 error code)
 _ERROR_MAP: list[tuple[type, int, str]] = [
@@ -105,212 +120,66 @@ _ERROR_MAP: list[tuple[type, int, str]] = [
     (BlobNotFoundError, 404, "BLOB_UNKNOWN"),
 ]
 
+_RANGE_RE = re.compile(r"^bytes=(?P<start>\d*)-(?P<end>\d*)$")
 
 #: endpoints that must answer even while shedding or draining
 _UNGATED_ENDPOINTS = ("metrics", "healthz")
 
-#: body cap applied when the server carries no ServerLimits
-_DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: methods whose request carries a body the handler must read
-_BODY_METHODS = ("POST", "PATCH", "PUT")
+_OCTETS = "application/octet-stream"
 
 
-def _endpoint_of(path: str) -> str:
-    """Classify a request path into a bounded endpoint label (metrics must
-    not explode cardinality with per-repo paths)."""
-    if path in ("/v2", "/v2/"):
-        return "ping"
-    if path == "/healthz":
-        return "healthz"
-    if path == "/v2/_catalog":
-        return "catalog"
-    if path == "/search":
-        return "search"
-    if path == "/metrics":
-        return "metrics"
-    if _UPLOAD_START_RE.match(path) or _UPLOAD_RE.match(path):
-        return "upload"
-    if _MANIFEST_RE.match(path):
-        return "manifest"
-    if _BLOB_RE.match(path):
-        return "blob"
-    if _TAGS_RE.match(path) or _TAG_RE.match(path):
-        return "tags"
-    return "other"
+def _json(status: int, doc: dict) -> Answer:
+    return status, {"Content-Type": "application/json"}, json.dumps(doc).encode()
 
 
-class _RequestRejected(Exception):
-    """A request refused before (or instead of) normal handling."""
+def _registry_error(exc: RegistryError) -> Answer:
+    for cls, status, code in _ERROR_MAP:
+        if isinstance(exc, cls):
+            return error_answer(status, code, str(exc))
+    return error_answer(500, "UNKNOWN", str(exc))
 
-    def __init__(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        *,
-        retry_after_s: float | None = None,
-        reason: str | None = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-        self.retry_after_s = retry_after_s
-        #: bounded label for the shed metric (defaults to the error code)
-        self.reason = reason if reason is not None else code.lower()
+
+def _token(headers) -> str | None:
+    header = headers.get("Authorization", "")
+    if header.startswith("Bearer "):
+        return header[len("Bearer ") :]
+    return None
+
+
+def _number(query: dict, name: str, default: int, least: int) -> int | None:
+    """Query parameter *name* as an integer (*default* when absent), or
+    None when it is not an integer of at least *least*."""
+    try:
+        value = int(query.get(name, [str(default)])[0])
+    except ValueError:
+        return None
+    return value if value >= least else None
 
 
 class _Handler(KeepAliveHandler):
-    """Request handler; ``self.owner`` is the :class:`RegistryHTTPServer`."""
+    """The registry's request handler; ``self.owner`` is the
+    :class:`RegistryHTTPServer`.
+
+    Every method is served by :meth:`_serve_request`. A route handler (the
+    ``_get_*``, ``_put_*``… methods named in ``_ROUTES``) takes the path
+    match, the parsed query, the headers and the body already read, and
+    returns its ``(status, headers, body)``; it reads the server through
+    ``self.owner`` and never touches the socket.
+    """
 
     owner: "RegistryHTTPServer"
     _payload_faults = None
-    _body_read = False
 
-    # -- plumbing ------------------------------------------------------------
+    # -- the adapter -----------------------------------------------------------
 
-    def _token(self) -> str | None:
-        header = self.headers.get("Authorization", "")
-        if header.startswith("Bearer "):
-            return header[len("Bearer ") :]
-        return None
-
-    def _send(self, status: int, body: bytes, content_type: str, extra: dict | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (extra or {}).items():
-            self.send_header(key, value)
-        if self.command in _BODY_METHODS and not self._body_read:
-            # answered before the declared body was read: on a kept-alive
-            # connection its bytes would parse as the next request line
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _send_json(self, status: int, doc: dict, extra: dict | None = None) -> None:
-        self._send(status, json.dumps(doc).encode(), "application/json", extra)
-
-    def _send_error(self, exc: RegistryError) -> None:
-        for cls, status, code in _ERROR_MAP:
-            if isinstance(exc, cls):
-                self._send_json(
-                    status, {"errors": [{"code": code, "message": str(exc)}]}
-                )
-                return
-        self._send_json(
-            500, {"errors": [{"code": "UNKNOWN", "message": str(exc)}]}
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    def _inject_fault(self, endpoint: str) -> bool:
-        """Consult the server's fault injector (if any) for this request.
-
-        Returns True when a fault fully answered (or killed) the request;
-        payload faults are stashed on the handler for the blob branch to
-        apply. The ``/metrics`` endpoint is never faulted so observability
-        survives any storm.
-        """
-        self._payload_faults = None
-        injector = self.owner.fault_injector
-        if injector is None or endpoint == "metrics":
-            return False
-        faults = injector.plan(endpoint, urllib.parse.urlparse(self.path).path)
-        if faults.latency_s:
-            time.sleep(faults.latency_s)
-        if faults.error_kind == "rate_limit":
-            self._send_json(
-                429,
-                {"errors": [{"code": "TOOMANYREQUESTS", "message": "injected rate limit"}]},
-                {"Retry-After": f"{faults.retry_after_s:.3f}"},
-            )
-            return True
-        if faults.error_kind is not None and faults.error_kind != "flap":
-            self._send_json(
-                503,
-                {"errors": [{"code": "UNAVAILABLE", "message": "injected server error"}]},
-            )
-            return True
-        if faults.error_kind == "flap":
-            # Kill the connection without a response: the client sees a
-            # reset / premature EOF, like a flapping upstream.
-            try:
-                self.connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self.close_connection = True
-            return True
-        if faults.mutations:
-            self._payload_faults = faults
-        return False
-
-    def _client_id(self) -> str:
-        """Who is asking — an explicit ``X-Client-Id`` (loadgen's virtual
-        clients) or the connection's source address."""
-        return self.headers.get("X-Client-Id") or self.client_address[0]
-
-    def _admit(self, endpoint: str):
-        """Run the server's overload-protection gauntlet for this request.
-
-        Returns the admission gate to ``release()`` afterwards (None when
-        ungated); raises :class:`_RequestRejected` to shed. Order matters:
-        drain refusal first (the server is going away), then the per-client
-        limiter (one hog must not reach the shared gate), then the gate.
-        """
-        owner = self.owner
-        if endpoint in _UNGATED_ENDPOINTS:
-            return None
-        if owner.draining:
-            raise _RequestRejected(
-                503, "UNAVAILABLE", "server is draining",
-                retry_after_s=1.0, reason="draining",
-            )
-        limits = owner.limits
-        if limits is None:
-            return None
-        wait = 0.0 if limits.limiter is None else limits.limiter.admit(self._client_id())
-        if wait:
-            # Retry-After goes out in milliseconds: a sub-ms wait must not read 0
-            raise _RequestRejected(
-                429, "TOOMANYREQUESTS", "client over rate limit",
-                retry_after_s=max(wait, 0.001), reason="rate_limited",
-            )
-        if limits.gate is not None:
-            result = limits.gate.try_acquire(timeout_s=limits.request_deadline_s)
-            if not result.admitted:
-                raise _RequestRejected(
-                    503, "UNAVAILABLE", f"overloaded ({result.outcome})",
-                    retry_after_s=result.retry_after_s, reason=result.outcome,
-                )
-            return limits.gate
-        return None
-
-    def _reject(self, rejected: _RequestRejected, endpoint: str) -> None:
-        extra = {}
-        if rejected.retry_after_s is not None:
-            extra["Retry-After"] = f"{rejected.retry_after_s:.3f}"
-        self.owner.metrics.counter(
-            "registry_http_rejected_total",
-            "requests shed or refused before handling",
-            endpoint=endpoint,
-            reason=rejected.reason,
-        ).inc()
-        self._send_json(
-            rejected.status,
-            {"errors": [{"code": rejected.code, "message": rejected.message}]},
-            extra,
-        )
-
-    def _observed(self, handler) -> None:
-        """Run one request handler under admission control and per-endpoint
-        metrics accounting."""
+    def _serve_request(self) -> None:
+        """Count the request, admit it, inject faults, read its body, run
+        its handler and send the answer, all under the in-flight count
+        and the endpoint's latency histogram."""
         owner = self.owner
         metrics = owner.metrics
-        self._body_read = False
-        endpoint = _endpoint_of(urllib.parse.urlparse(self.path).path)
+        split = urllib.parse.urlsplit(self.path)
+        endpoint, match, handlers = _resolve(split.path)
         # count on receipt, not in the finally: a client that got its bytes
         # must already observe the counter bumped (tests race on this)
         metrics.counter(
@@ -323,15 +192,14 @@ class _Handler(KeepAliveHandler):
         try:
             try:
                 gate = self._admit(endpoint)
-            except _RequestRejected as rejected:
-                self._reject(rejected, endpoint)
+            except Refused as refused:
+                self.send_answer(*self._refusal(refused, endpoint))
                 return
             owner._request_began()
             try:
-                if not self._inject_fault(endpoint):
-                    handler()
-            except _RequestRejected as rejected:
-                self._reject(rejected, endpoint)
+                answer = self._answer(endpoint, split, match, handlers.get(self.command))
+                if answer is not None:
+                    self.send_answer(*answer)
             finally:
                 if gate is not None:
                     gate.release()
@@ -343,219 +211,112 @@ class _Handler(KeepAliveHandler):
                 endpoint=endpoint,
             ).observe(time.perf_counter() - start)
 
-    def do_GET(self) -> None:  # noqa: N802
-        self._observed(self._route)
+    do_GET = do_HEAD = do_POST = do_PATCH = do_PUT = do_DELETE = _serve_request
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._observed(self._route)
+    def _answer(self, endpoint: str, split, match, handler) -> Answer | None:
+        """Fault injection, the bounded body read and the handler, in that
+        order; None when an injected flap cut the connection instead.
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._observed(self._post)
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self._observed(self._patch)
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._observed(self._put)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._observed(self._delete)
-
-    def _body(self) -> bytes:
-        """Read the request body, bounded.
-
-        A body-bearing request without ``Content-Length`` is a 411 (reading
-        until EOF on a keep-alive connection would hang; trusting zero
-        would silently drop the payload), and a declared length past the
-        server's ``max_body_bytes`` is a 413 — refused before a byte of it
-        is read.
+        The server's fault injector (if any) is consulted for every
+        endpoint but ``/metrics``, so observability survives any storm;
+        payload faults are kept for the blob handler to apply.
         """
-        header = self.headers.get("Content-Length")
-        if header is None:
-            raise _RequestRejected(
-                411, "LENGTH_REQUIRED", "Content-Length required",
-                reason="length_required",
-            )
+        self._payload_faults = None
+        injector = self.owner.fault_injector
+        if injector is not None and endpoint != "metrics":
+            faults = injector.plan(endpoint, split.path)
+            if faults.latency_s:
+                time.sleep(faults.latency_s)
+            if faults.error_kind == "flap":
+                # kill the connection without a response: the client sees
+                # a reset / premature EOF, like a flapping upstream
+                try:
+                    self.connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                self.close_connection = True
+                return None
+            if faults.error_kind == "rate_limit":
+                return error_answer(
+                    429, "TOOMANYREQUESTS", "injected rate limit",
+                    retry_after_s=faults.retry_after_s,
+                )
+            if faults.error_kind is not None:
+                return error_answer(503, "UNAVAILABLE", "injected server error")
+            if faults.mutations:
+                self._payload_faults = faults
+        if handler is None:
+            return error_answer(404, "NOT_FOUND", split.path)
         try:
-            length = int(header)
-            if length < 0:
-                raise ValueError(header)
-        except ValueError:
-            raise _RequestRejected(
-                400, "BAD_REQUEST", f"bad Content-Length: {header!r}",
-                reason="bad_length",
-            ) from None
-        limits = self.owner.limits
-        max_bytes = _DEFAULT_MAX_BODY_BYTES if limits is None else limits.max_body_bytes
-        if length > max_bytes:
-            raise _RequestRejected(
-                413, "PAYLOAD_TOO_LARGE",
-                f"body of {length} bytes exceeds limit of {max_bytes}",
-                reason="body_too_large",
-            )
-        body = self.rfile.read(length) if length else b""
-        self._body_read = True
-        return body
-
-    def _post(self) -> None:
-        match = _UPLOAD_START_RE.match(urllib.parse.urlparse(self.path).path)
-        if not match:
-            self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": self.path}]})
-            return
-        self._body()  # drain
-        upload_id = self.owner._start_upload()
-        self._send(
-            202, b"", "text/plain",
-            {"Location": f"/v2/{match['name']}/blobs/uploads/{upload_id}"},
-        )
-
-    def _patch(self) -> None:
-        match = _UPLOAD_RE.match(urllib.parse.urlparse(self.path).path)
-        if not match:
-            self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": self.path}]})
-            return
-        chunk = self._body()
-        total = self.owner._append_upload(match["uuid"], chunk)
-        if total is None:
-            self._send_json(
-                404, {"errors": [{"code": "BLOB_UPLOAD_UNKNOWN", "message": match["uuid"]}]}
-            )
-            return
-        self._send(
-            202, b"", "text/plain",
-            {
-                "Location": f"/v2/{match['name']}/blobs/uploads/{match['uuid']}",
-                "Range": f"0-{total - 1}",
-            },
-        )
-
-    def _put(self) -> None:
-        parsed = urllib.parse.urlparse(self.path)
-        query = urllib.parse.parse_qs(parsed.query)
-        registry = self.owner.registry
-        match = _UPLOAD_RE.match(parsed.path)
-        if match:
-            expected = query.get("digest", [""])[0]
-            final_chunk = self._body()
-            data = self.owner._finish_upload(match["uuid"], final_chunk)
-            if data is None:
-                self._send_json(
-                    404,
-                    {"errors": [{"code": "BLOB_UPLOAD_UNKNOWN", "message": match["uuid"]}]},
+            body = b""
+            if self.command in BODY_METHODS:
+                limits = self.owner.limits
+                body = self.read_body(
+                    DEFAULT_MAX_BODY_BYTES if limits is None else limits.max_body_bytes
                 )
-                return
-            # verify before storing: a mismatched body must leave no blob
-            actual = sha256_bytes(data)
-            if expected and expected != actual:
-                self._send_json(
-                    400,
-                    {"errors": [{"code": "DIGEST_INVALID", "message": actual}]},
-                )
-                return
-            registry.push_blob(data, digest=actual)
-            self._send(
-                201, b"", "text/plain",
-                {
-                    "Location": f"/v2/{match['name']}/blobs/{actual}",
-                    "Docker-Content-Digest": actual,
-                },
-            )
-            return
-        match = _MANIFEST_RE.match(parsed.path)
-        if match:
-            body = self._body()
-            try:
-                manifest = Manifest.from_json(body)
-            except (ValueError, KeyError) as exc:
-                self._send_json(
-                    400, {"errors": [{"code": "MANIFEST_INVALID", "message": str(exc)}]}
-                )
-                return
-            missing = [
-                ref.digest
-                for ref in manifest.layers
-                if not registry.has_blob(ref.digest)
-            ]
-            if missing:
-                self._send_json(
-                    400,
-                    {"errors": [{"code": "MANIFEST_BLOB_UNKNOWN", "message": missing[0]}]},
-                )
-                return
-            name = match["name"]
-            if name not in registry.catalog():
-                registry.create_repository(name)  # Hub creates on first push
-            digest = registry.push_manifest(name, match["ref"], manifest)
-            self._send(
-                201, b"", "text/plain", {"Docker-Content-Digest": digest}
-            )
-            return
-        self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": self.path}]})
-
-    def _delete(self) -> None:
-        """``DELETE /v2/<name>/manifests/<ref>`` and ``/v2/<name>/tags/<tag>``.
-
-        Both answer 202 (the v2 convention for accepted deletions): the tag
-        mapping is gone immediately, the bytes await garbage collection."""
-        path = urllib.parse.urlparse(self.path).path
-        registry = self.owner.registry
-        try:
-            match = _MANIFEST_RE.match(path)
-            if match:
-                result = registry.delete_manifest(
-                    match["name"], match["ref"], token=self._token()
-                )
-                self._send_json(202, result)
-                return
-            match = _TAG_RE.match(path)
-            if match and match["tag"] != "list":
-                registry.delete_tag(match["name"], match["tag"], token=self._token())
-                self._send_json(202, {"untagged": 1})
-                return
-            self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": path}]})
+            return handler(self, match, urllib.parse.parse_qs(split.query), self.headers, body)
+        except Refused as refused:
+            return self._refusal(refused, endpoint)
         except RegistryError as exc:
-            self._send_error(exc)
+            return _registry_error(exc)
 
-    def _route(self) -> None:
-        parsed = urllib.parse.urlparse(self.path)
-        path = parsed.path
-        query = urllib.parse.parse_qs(parsed.query)
-        registry = self.owner.registry
-        try:
-            if path == "/v2/" or path == "/v2":
-                self._send_json(200, {})
-                return
-            if path == "/healthz":
-                self._healthz()
-                return
-            if path == "/v2/_catalog":
-                self._catalog(query)
-                return
-            if path == "/search":
-                self._search(query)
-                return
-            if path == "/metrics":
-                body = self.owner.metrics.render_prometheus().encode()
-                self._send(200, body, "text/plain; version=0.0.4")
-                return
-            match = _MANIFEST_RE.match(path)
-            if match:
-                self._manifest(registry, match["name"], match["ref"])
-                return
-            match = _BLOB_RE.match(path)
-            if match:
-                self._blob(registry, match["digest"])
-                return
-            match = _TAGS_RE.match(path)
-            if match:
-                tags = registry.list_tags(match["name"], token=self._token())
-                self._send_json(200, {"name": match["name"], "tags": tags})
-                return
-            self._send_json(404, {"errors": [{"code": "NOT_FOUND", "message": path}]})
-        except RegistryError as exc:
-            self._send_error(exc)
+    def _client_id(self) -> str:
+        """Who is asking — an explicit ``X-Client-Id`` (loadgen's virtual
+        clients) or the connection's source address."""
+        return self.headers.get("X-Client-Id") or self.client_address[0]
 
-    def _healthz(self) -> None:
+    def _admit(self, endpoint: str):
+        """Run the server's overload-protection gauntlet for this request.
+
+        Returns the admission gate to ``release()`` afterwards (None when
+        ungated); raises :class:`~repro.registry.transport.Refused` to
+        shed. Order matters: drain refusal first (the server is going
+        away), then the per-client limiter (one hog must not reach the
+        shared gate), then the gate.
+        """
+        owner = self.owner
+        if endpoint in _UNGATED_ENDPOINTS:
+            return None
+        if owner.draining:
+            raise Refused(
+                503, "UNAVAILABLE", "server is draining",
+                retry_after_s=1.0, reason="draining",
+            )
+        limits = owner.limits
+        if limits is None:
+            return None
+        wait = 0.0 if limits.limiter is None else limits.limiter.admit(self._client_id())
+        if wait:
+            # Retry-After goes out in milliseconds: a sub-ms wait must not read 0
+            raise Refused(
+                429, "TOOMANYREQUESTS", "client over rate limit",
+                retry_after_s=max(wait, 0.001), reason="rate_limited",
+            )
+        if limits.gate is not None:
+            result = limits.gate.try_acquire(timeout_s=limits.request_deadline_s)
+            if not result.admitted:
+                raise Refused(
+                    503, "UNAVAILABLE", f"overloaded ({result.outcome})",
+                    retry_after_s=result.retry_after_s, reason=result.outcome,
+                )
+            return limits.gate
+        return None
+
+    def _refusal(self, refused: Refused, endpoint: str) -> Answer:
+        self.owner.metrics.counter(
+            "registry_http_rejected_total",
+            "requests shed or refused before handling",
+            endpoint=endpoint,
+            reason=refused.reason,
+        ).inc()
+        return refused.answer()
+
+    # -- route handlers --------------------------------------------------------
+
+    def _ping(self, match, query, headers, body) -> Answer:
+        return _json(200, {})
+
+    def _healthz(self, match, query, headers, body) -> Answer:
         """Readiness: 200 while serving, 503 while draining (a frontend
         must stop routing here before the socket actually closes)."""
         owner = self.owner
@@ -563,9 +324,47 @@ class _Handler(KeepAliveHandler):
         doc = {"ready": not draining}
         if owner.limits is not None and owner.limits.gate is not None:
             doc.update(owner.limits.gate.stats())
-        self._send_json(503 if draining else 200, doc)
+        return _json(503 if draining else 200, doc)
 
-    def _manifest(self, registry: Registry, name: str, ref: str) -> None:
+    def _catalog(self, match, query, headers, body) -> Answer:
+        """One page of ``/v2/_catalog``: ``n`` names after ``last``. An
+        ``n`` that is not a non-negative integer is a 400, as Docker
+        distribution answers it."""
+        n = _number(query, "n", 100, 0)
+        if n is None:
+            return error_answer(
+                400, "PAGINATION_NUMBER_INVALID", f"invalid n: {query['n'][0]!r}"
+            )
+        repos = self.owner.registry.catalog()
+        last = query.get("last", [""])[0]
+        start = repos.index(last) + 1 if last in repos else 0
+        return _json(200, {"repositories": repos[start : start + n]})
+
+    def _search(self, match, query, headers, body) -> Answer:
+        page_num = _number(query, "page", 1, 1)
+        if page_num is None:
+            return error_answer(
+                400, "PAGINATION_NUMBER_INVALID", f"invalid page: {query['page'][0]!r}"
+            )
+        q = query.get("q", [""])[0]
+        if q == "" and "official" in query:
+            return _json(200, {"results": self.owner.search.official_repositories()})
+        page = self.owner.search.search(q, page=page_num)
+        return _json(
+            200,
+            {
+                "query": page.query,
+                "page": page.page,
+                "results": page.results,
+                "has_next": page.has_next,
+            },
+        )
+
+    def _metrics(self, match, query, headers, body) -> Answer:
+        text = self.owner.metrics.render_prometheus()
+        return 200, {"Content-Type": "text/plain; version=0.0.4"}, text.encode()
+
+    def _get_manifest(self, match, query, headers, body) -> Answer:
         """Manifest GET/HEAD with conditional-request support.
 
         Every response carries an ``ETag`` equal to the manifest's content
@@ -574,10 +373,16 @@ class _Handler(KeepAliveHandler):
         that lets a proxy keep a tag fresh for one round-trip and zero payload
         bytes.
         """
-        manifest = registry.get_manifest(name, ref, token=self._token())
+        manifest = self.owner.registry.get_manifest(
+            match["name"], match["ref"], token=_token(headers)
+        )
         digest = manifest.digest()
-        extra = {"Docker-Content-Digest": digest, "ETag": f'"{digest}"'}
-        given = self.headers.get("If-None-Match")
+        sent = {
+            "Content-Type": MANIFEST_MEDIA_TYPE,
+            "Docker-Content-Digest": digest,
+            "ETag": f'"{digest}"',
+        }
+        given = headers.get("If-None-Match")
         if given is not None:
             matched = given.strip().strip('"') == digest
             self.owner.metrics.counter(
@@ -586,11 +391,44 @@ class _Handler(KeepAliveHandler):
                 outcome="not_modified" if matched else "modified",
             ).inc()
             if matched:
-                self._send(304, b"", MANIFEST_MEDIA_TYPE, extra)
-                return
-        self._send(200, manifest.to_json(), MANIFEST_MEDIA_TYPE, extra)
+                return 304, sent, b""
+        return 200, sent, manifest.to_json()
 
-    def _blob(self, registry: Registry, digest: str) -> None:
+    def _put_manifest(self, match, query, headers, body) -> Answer:
+        registry = self.owner.registry
+        try:
+            manifest = Manifest.from_json(body)
+        except (ValueError, KeyError) as exc:
+            return error_answer(400, "MANIFEST_INVALID", str(exc))
+        missing = [
+            ref.digest for ref in manifest.layers if not registry.has_blob(ref.digest)
+        ]
+        if missing:
+            return error_answer(400, "MANIFEST_BLOB_UNKNOWN", missing[0])
+        name = match["name"]
+        if name not in registry.catalog():
+            registry.create_repository(name)  # Hub creates on first push
+        digest = registry.push_manifest(name, match["ref"], manifest)
+        return 201, {"Content-Type": "text/plain", "Docker-Content-Digest": digest}, b""
+
+    def _delete_manifest(self, match, query, headers, body) -> Answer:
+        """Deletions answer 202 (the v2 convention for accepted deletions):
+        the tag mapping is gone at once, the bytes await garbage
+        collection."""
+        result = self.owner.registry.delete_manifest(
+            match["name"], match["ref"], token=_token(headers)
+        )
+        return _json(202, result)
+
+    def _delete_tag(self, match, query, headers, body) -> Answer:
+        self.owner.registry.delete_tag(match["name"], match["tag"], token=_token(headers))
+        return _json(202, {"untagged": 1})
+
+    def _get_tags(self, match, query, headers, body) -> Answer:
+        tags = self.owner.registry.list_tags(match["name"], token=_token(headers))
+        return _json(200, {"name": match["name"], "tags": tags})
+
+    def _get_blob(self, match, query, headers, body) -> Answer:
         """Blob GET/HEAD, honoring single-range ``Range`` requests.
 
         ``bytes=a-b`` / ``bytes=a-`` / ``bytes=-n`` get a ``206`` with
@@ -598,20 +436,22 @@ class _Handler(KeepAliveHandler):
         ``bytes */<size>`` hint; anything the regex rejects (multi-range,
         garbage) is ignored per RFC 7233 and answered with the full 200.
         """
-        blob = registry.get_blob(digest)
+        blob = self.owner.registry.get_blob(match["digest"])
         if self._payload_faults is not None:
             blob = self._payload_faults.apply_payload(blob)
-        header = self.headers.get("Range")
-        if header is not None and self._blob_range(blob, header):
-            return
-        self._send(200, blob, "application/octet-stream", {"Accept-Ranges": "bytes"})
+        header = headers.get("Range")
+        if header is not None:
+            ranged = self._blob_range(blob, header)
+            if ranged is not None:
+                return ranged
+        return 200, {"Content-Type": _OCTETS, "Accept-Ranges": "bytes"}, blob
 
-    def _blob_range(self, blob: bytes, header: str) -> bool:
-        """Answer one ``Range`` request (206 or 416); False to fall back to
+    def _blob_range(self, blob: bytes, header: str) -> Answer | None:
+        """Answer one ``Range`` request (206 or 416); None to fall back to
         a full 200 when the header should be ignored."""
         match = _RANGE_RE.match(header.strip())
         if not match or (match["start"] == "" and match["end"] == ""):
-            return False
+            return None
         total = len(blob)
         if match["start"] == "":
             # suffix form: the last N bytes (N == 0 is unsatisfiable)
@@ -624,7 +464,7 @@ class _Handler(KeepAliveHandler):
             if match["end"] != "":
                 end = int(match["end"])
                 if end < start:
-                    return False  # inverted range: ignore, serve full body
+                    return None  # inverted range: ignore, serve full body
                 end = min(end, total - 1)
             else:
                 end = total - 1
@@ -635,48 +475,98 @@ class _Handler(KeepAliveHandler):
         )
         if start >= total:
             range_counter("unsatisfiable").inc()
-            self._send(
-                416, b"", "application/octet-stream",
-                {"Content-Range": f"bytes */{total}"},
-            )
-            return True
-        part = blob[start : end + 1]
+            return 416, {"Content-Type": _OCTETS, "Content-Range": f"bytes */{total}"}, b""
         range_counter("partial").inc()
-        self._send(
-            206, part, "application/octet-stream",
-            {
-                "Content-Range": f"bytes {start}-{end}/{total}",
-                "Accept-Ranges": "bytes",
-            },
-        )
-        return True
+        sent = {
+            "Content-Type": _OCTETS,
+            "Content-Range": f"bytes {start}-{end}/{total}",
+            "Accept-Ranges": "bytes",
+        }
+        return 206, sent, blob[start : end + 1]
 
-    def _catalog(self, query: dict) -> None:
-        repos = self.owner.registry.catalog()
-        n = int(query.get("n", ["100"])[0])
-        last = query.get("last", [""])[0]
-        start = repos.index(last) + 1 if last in repos else 0
-        page = repos[start : start + n]
-        self._send_json(200, {"repositories": page})
+    def _post_upload(self, match, query, headers, body) -> Answer:
+        upload_id = self.owner._start_upload()
+        location = f"/v2/{match['name']}/blobs/uploads/{upload_id}"
+        return 202, {"Content-Type": "text/plain", "Location": location}, b""
 
-    def _search(self, query: dict) -> None:
-        q = query.get("q", [""])[0]
-        page_num = int(query.get("page", ["1"])[0])
-        if q == "" and "official" in query:
-            self._send_json(
-                200, {"results": self.owner.search.official_repositories()}
-            )
-            return
-        page = self.owner.search.search(q, page=page_num)
-        self._send_json(
-            200,
+    def _patch_upload(self, match, query, headers, body) -> Answer:
+        total = self.owner._append_upload(match["uuid"], body)
+        if total is None:
+            return error_answer(404, "BLOB_UPLOAD_UNKNOWN", match["uuid"])
+        sent = {
+            "Content-Type": "text/plain",
+            "Location": f"/v2/{match['name']}/blobs/uploads/{match['uuid']}",
+            "Range": f"0-{total - 1}",
+        }
+        return 202, sent, b""
+
+    def _put_upload(self, match, query, headers, body) -> Answer:
+        data = self.owner._finish_upload(match["uuid"], body)
+        if data is None:
+            return error_answer(404, "BLOB_UPLOAD_UNKNOWN", match["uuid"])
+        # verify before storing: a mismatched body must leave no blob
+        actual = sha256_bytes(data)
+        expected = query.get("digest", [""])[0]
+        if expected and expected != actual:
+            return error_answer(400, "DIGEST_INVALID", actual)
+        self.owner.registry.push_blob(data, digest=actual)
+        sent = {
+            "Content-Type": "text/plain",
+            "Location": f"/v2/{match['name']}/blobs/{actual}",
+            "Docker-Content-Digest": actual,
+        }
+        return 201, sent, b""
+
+
+def _reads(handler: Callable[..., Answer]) -> dict[str, Callable[..., Answer]]:
+    """GET and HEAD served alike: the writer drops a HEAD's body."""
+    return {"GET": handler, "HEAD": handler}
+
+
+_NAME = r"/v2/(?P<name>.+)"
+
+#: ``(path pattern, endpoint label, {method: handler})``. The first pattern
+#: that matches a request's whole path gives both its metrics label (kept
+#: bounded: no per-repository paths) and its handler; a method the route
+#: does not take is a 404 under that label, and a path no pattern matches
+#: is a 404 labelled ``other``.
+_ROUTES = tuple(
+    (re.compile(pattern), endpoint, handlers)
+    for pattern, endpoint, handlers in (
+        (r"/v2/?", "ping", _reads(_Handler._ping)),
+        (r"/healthz", "healthz", _reads(_Handler._healthz)),
+        (r"/v2/_catalog", "catalog", _reads(_Handler._catalog)),
+        (r"/search", "search", _reads(_Handler._search)),
+        (r"/metrics", "metrics", _reads(_Handler._metrics)),
+        (_NAME + r"/blobs/uploads/", "upload", {"POST": _Handler._post_upload}),
+        (
+            _NAME + r"/blobs/uploads/(?P<uuid>[0-9a-f-]+)",
+            "upload",
+            {"PATCH": _Handler._patch_upload, "PUT": _Handler._put_upload},
+        ),
+        (
+            _NAME + r"/manifests/(?P<ref>[^/]+)",
+            "manifest",
             {
-                "query": page.query,
-                "page": page.page,
-                "results": page.results,
-                "has_next": page.has_next,
+                **_reads(_Handler._get_manifest),
+                "PUT": _Handler._put_manifest,
+                "DELETE": _Handler._delete_manifest,
             },
-        )
+        ),
+        (_NAME + r"/blobs/(?P<digest>sha256:[^/]+)", "blob", _reads(_Handler._get_blob)),
+        (_NAME + r"/tags/list", "tags", _reads(_Handler._get_tags)),
+        (_NAME + r"/tags/(?P<tag>[^/]+)", "tags", {"DELETE": _Handler._delete_tag}),
+    )
+)
+
+
+def _resolve(path: str) -> tuple[str, re.Match | None, dict[str, Callable[..., Answer]]]:
+    """``(endpoint label, match, {method: handler})`` for a request path."""
+    for pattern, endpoint, handlers in _ROUTES:
+        match = pattern.fullmatch(path)
+        if match is not None:
+            return endpoint, match, handlers
+    return "other", None, {}
 
 
 class RegistryHTTPServer(ServerBase):
@@ -814,12 +704,6 @@ class RegistryHTTPServer(ServerBase):
                     if remaining <= 0:
                         break
                     self._inflight_cond.wait(remaining)
-        self._halt()
-
-    def kill(self) -> None:
-        """Ungraceful shutdown — the crash case. No drain: in-flight
-        requests may die mid-response and clients see resets, which is
-        exactly what a failover frontend must absorb."""
         self._halt()
 
 

@@ -7,7 +7,10 @@ the registry client (:class:`~repro.registry.http.HTTPSession`,
 upstream forwarding (:class:`~repro.ha.frontend.FailoverFrontend`) and the
 replica health probe (:func:`~repro.ha.health.http_probe`). Both HTTP
 servers (:class:`~repro.registry.http.RegistryHTTPServer` and the
-frontend) run on :class:`ServerBase`.
+frontend) run on :class:`ServerBase`, read request bodies through
+:meth:`KeepAliveHandler.read_body` and send every response through
+:meth:`KeepAliveHandler.send_answer`. Either way a response is one
+:data:`Answer`, ``(status, headers, body)``.
 
 **Framing.** This module writes and parses HTTP/1.1 messages itself, in
 both directions; ``http.client`` lends it only exception classes and its
@@ -47,21 +50,31 @@ with control characters or non-ASCII bytes) a 400. It keeps the stdlib's
 ``//`` path normalisation, ``Connection`` rules and ``Expect:
 100-continue``; any other request line (HTTP/0.9, 2.0, garbage)
 goes to ``BaseHTTPRequestHandler.parse_request``, which answers it as it
-always has. Nagle's algorithm is off: a response leaves in at most two
-writes (headers, then the body if it has one), and with Nagle on the
-second waits for the client's delayed ACK on every kept-alive exchange.
-:class:`ServerBase` serves from a daemon thread and tracks every accepted
-connection and its handler thread, so halting it shuts them all down and
-waits for the handlers — a killed replica cannot keep answering on a
-pooled socket. A handler reaches its server through one link, a weak
-reference it resolves once per connection, so nothing refers back to a
-halted server: its caller's last reference frees it, and all it serves,
-by refcount, without waiting for the cyclic GC.
+always has. The body reader refuses, before reading a byte, a body
+without ``Content-Length`` (411), with a length that is not a
+non-negative integer (400) or past its cap (413), raising
+:class:`Refused`, whose :meth:`~Refused.answer` is a Docker v2 error
+(:func:`error_answer`). The writer adds ``Content-Length``, drops the
+body for HEAD, and says ``Connection: close`` when a POST, PATCH or PUT
+is answered with its body unread. Nagle's algorithm is off: a response
+leaves in at most two writes (headers, then the body if it has one), and
+with Nagle on the second waits for the client's delayed ACK on every
+kept-alive exchange. :class:`ServerBase` serves from a daemon thread and
+tracks every accepted connection and its handler thread, so halting it
+shuts them all down and waits for the handlers — a killed replica cannot
+keep answering on a pooled socket. ``kill()`` first shuts the listening
+socket down, which wakes the accept loop's 0.5 s select poll at once, so
+a request still in flight dies with the server; ``stop()`` lets the loop
+notice at its next poll. A handler reaches its server through one link, a
+weak reference it resolves once per connection, so nothing refers back
+to a halted server: its caller's last reference frees it, and all it
+serves, by refcount, without waiting for the cyclic GC.
 """
 
 from __future__ import annotations
 
 import http.client
+import json
 import re
 import select
 import socket
@@ -83,6 +96,15 @@ _COALESCE_BODY_BYTES = 64 * 1024
 
 #: request lines :meth:`KeepAliveHandler.parse_request` frames itself
 _FRAMED_VERSIONS = ("HTTP/1.1", "HTTP/1.0")
+
+#: methods whose request carries a body the server must read
+BODY_METHODS = ("POST", "PATCH", "PUT")
+
+#: the request-body cap of :meth:`KeepAliveHandler.read_body` by default
+DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: one response, either side of the socket: ``(status, headers, body)``
+Answer = tuple[int, dict[str, str], bytes]
 
 
 class MalformedHeader(http.client.HTTPException):
@@ -113,6 +135,46 @@ def read_headers(fp: BinaryIO) -> http.client.HTTPMessage:
             raise MalformedHeader(f"malformed header line {line!r}")
         message[name] = value
     raise http.client.HTTPException(f"got more than {http.client._MAXHEADERS} headers")
+
+
+def error_answer(
+    status: int, code: str, message: str, *, retry_after_s: float | None = None
+) -> Answer:
+    """*status* with a Docker v2 error body, plus ``Retry-After`` when
+    given (in seconds, to the millisecond)."""
+    headers = {"Content-Type": "application/json"}
+    if retry_after_s is not None:
+        headers["Retry-After"] = f"{retry_after_s:.3f}"
+    doc = {"errors": [{"code": code, "message": message}]}
+    return status, headers, json.dumps(doc).encode()
+
+
+class Refused(Exception):
+    """A request answered with an error before (or instead of) being
+    handled. ``reason`` is a bounded label for a refusal metric; it
+    defaults to the lower-cased error code."""
+
+    def __init__(
+        self,
+        status: int,
+        code: str,
+        message: str,
+        *,
+        retry_after_s: float | None = None,
+        reason: str | None = None,
+    ):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.message = message
+        self.retry_after_s = retry_after_s
+        self.reason = reason if reason is not None else code.lower()
+
+    def answer(self) -> Answer:
+        """The error response this refusal is sent as."""
+        return error_answer(
+            self.status, self.code, self.message, retry_after_s=self.retry_after_s
+        )
 
 
 class ConnectionFailed(Exception):
@@ -340,7 +402,8 @@ class Transport:
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
     """Request-handler base: HTTP/1.1 keep-alive, Nagle off, no access log,
-    and its own request framing (see the module docstring).
+    its own request framing (see the module docstring), one bounded body
+    reader (:meth:`read_body`) and one response writer (:meth:`send_answer`).
 
     ``self.owner`` is the :class:`ServerBase` serving this connection,
     resolved once per connection in :meth:`setup`."""
@@ -348,6 +411,8 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     owner: "ServerBase"
+    #: whether this request's body was read (reset per request)
+    _body_read = False
 
     def setup(self) -> None:
         """Resolve :attr:`owner` for this connection. It is never None:
@@ -358,6 +423,7 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Parse the request line and headers; on failure the error answer
         is already sent. Only ``METHOD target HTTP/1.x`` is framed here."""
+        self._body_read = False
         requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = requestline.split()
         if len(words) != 3 or words[2] not in _FRAMED_VERSIONS:
@@ -390,6 +456,53 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         ):
             return self.handle_expect_100()
         return True
+
+    def read_body(self, max_bytes: int = DEFAULT_MAX_BODY_BYTES) -> bytes:
+        """Read the request body, bounded by *max_bytes*.
+
+        Each refusal raises :class:`Refused` before a byte of the body is
+        read: 411 without ``Content-Length`` (reading to EOF on a kept-alive
+        connection would hang; trusting zero would silently drop the
+        payload), 400 for a length that is not a non-negative integer, 413
+        for one past *max_bytes*.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            raise Refused(
+                411, "LENGTH_REQUIRED", "Content-Length required", reason="length_required"
+            )
+        try:
+            length = int(header)
+            if length < 0:
+                raise ValueError(header)
+        except ValueError:
+            raise Refused(
+                400, "BAD_REQUEST", f"bad Content-Length: {header!r}", reason="bad_length"
+            ) from None
+        if length > max_bytes:
+            raise Refused(
+                413, "PAYLOAD_TOO_LARGE",
+                f"body of {length} bytes exceeds limit of {max_bytes}",
+                reason="body_too_large",
+            )
+        body = self.rfile.read(length) if length else b""
+        self._body_read = True
+        return body
+
+    def send_answer(self, status: int, headers: dict[str, str], body: bytes) -> None:
+        """Send one response: *headers*, then ``Content-Length``, then
+        *body* unless the request was a HEAD. A POST, PATCH or PUT answered
+        without its body read also gets ``Connection: close``: kept alive,
+        the unread bytes would parse as the next request line."""
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        if self.command in BODY_METHODS and not self._body_read:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if body and self.command != "HEAD":
+            self.wfile.write(body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test output clean
@@ -443,8 +556,8 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
 class ServerBase:
     """Serve a :class:`KeepAliveHandler` subclass on 127.0.0.1 (ephemeral
     port by default) from a daemon thread. Handlers reach the server as
-    ``self.owner``; subclasses define ``stop()``, and :meth:`_halt` is the
-    hard stop both build on.
+    ``self.owner``; :meth:`stop` and :meth:`kill` build on the hard stop
+    :meth:`_halt`.
 
     Lifetime: the serving thread holds the server while it runs, and each
     connection's handler while it is open, so a server nobody else holds
@@ -486,6 +599,22 @@ class ServerBase:
             self._thread = None
         self._httpd.close_connections()
         self._httpd.server_close()
+
+    def stop(self) -> None:
+        """Shut down (a server that can drain in-flight requests first
+        overrides this). The accept loop ends at its next 0.5 s poll."""
+        self._halt()
+
+    def kill(self) -> None:
+        """Ungraceful shutdown — the crash case. No drain: in-flight
+        requests may die mid-response and clients see resets, which is
+        exactly what a failover frontend must absorb. Shutting the
+        listening socket down first wakes the accept loop's poll at once,
+        so a kill waits out no poll and a request still in flight dies
+        with it instead of finishing during the wait."""
+        if self._thread is not None:
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        self._halt()
 
     def __enter__(self):
         return self.start()

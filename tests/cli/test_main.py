@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli.main import build_parser, main
+from tests.golden import assert_identity
 
 
 @pytest.fixture(scope="module")
@@ -238,13 +239,13 @@ class TestScan:
 
 class TestChaos:
     def test_chaos_smoke_passes_and_is_deterministic(self, capsys):
-        argv = ["chaos", "--seed", "7", "--plan", "smoke", "--scale", "tiny",
-                "--requests", "80"]
+        argv = ["chaos", "--seed", "7", "--plan", "smoke"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "all invariants hold" in first
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+        assert_identity("chaos_smoke", first.encode())
 
     def test_chaos_json_output(self, capsys):
         import json

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.ha import run_churn
+from tests.golden import assert_identity, seeded_core_bytes
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +44,17 @@ class TestReplicatedChurn:
     def test_seeded_core_is_deterministic(self, report):
         again = run_churn(seed=7, epochs=3, replicas=2, scale="tiny")
         assert again.seeded_core() == report.seeded_core()
+        sharded = run_churn(seed=7, epochs=4, sharded=True, k=2)
+        assert_identity("sharded_churn", seeded_core_bytes(sharded.seeded_core()))
 
 
 class TestCrashResume:
     def test_interrupted_sweep_resumes_byte_identical(self):
-        report = run_churn(seed=7, epochs=3, replicas=2, scale="tiny", kill_after=2)
+        report = run_churn(seed=7, epochs=5, kill_after=3)
         assert report.ok
         assert report.crash["exercised"] and report.crash["interrupted"]
-        assert report.crash["deletions_before_kill"] == 2
+        assert report.crash["deletions_before_kill"] == 3
         assert report.crash["byte_identical"]
         names = [inv.name for inv in report.invariants]
         assert "crash_resume_byte_identical" in names
+        assert_identity("churn", seeded_core_bytes(report.seeded_core()))

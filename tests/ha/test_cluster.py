@@ -18,12 +18,14 @@ import pytest
 import repro.ha.cluster as cluster_module
 from repro.ha.cluster import run_cluster, run_overload
 from repro.util.digest import sha256_bytes
+from tests.golden import assert_identity, seeded_core_bytes
 
 
 @pytest.fixture(scope="module")
 def reports():
-    first = run_cluster(seed=5, replicas=3, requests=12, corrupt_count=1)
-    second = run_cluster(seed=5, replicas=3, requests=12, corrupt_count=1)
+    # the identity ledger's "cluster" row, run twice
+    first = run_cluster(seed=7, replicas=3, requests=60)
+    second = run_cluster(seed=7, replicas=3, requests=60)
     return first, second
 
 
@@ -44,11 +46,12 @@ class TestClusterExercise:
         assert json.dumps(first.seeded_core(), sort_keys=True) == json.dumps(
             second.seeded_core(), sort_keys=True
         )
+        assert_identity("cluster", seeded_core_bytes(first.seeded_core()))
 
     def test_report_surface(self, reports):
         report, _ = reports
         doc = report.to_dict()
-        assert doc["seed"] == 5
+        assert doc["seed"] == 7
         assert doc["replicas"] == 3
         assert set(report.phases) == {"A:healthy", "B:degraded", "C:healed"}
         assert report.degraded_write.startswith("sha256:")

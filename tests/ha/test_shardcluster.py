@@ -1,11 +1,10 @@
 """End-to-end tests for the sharded cluster exercise.
 
 Real HTTP servers again, so the exercise runs twice (once per seed-match
-check) in a module-scoped fixture with a small trace; the full N=6
-configuration runs in CI's cluster-shard-smoke job.
-
-N=4 with k=2 is the smallest shape the exercise accepts: the seeded event
-plan needs four pairwise-distinct targets (kill, corrupt, flap, leave).
+check) in a module-scoped fixture with a small trace: the identity
+ledger's N=6, k=2 row. N=4 is the smallest shape the exercise accepts:
+the seeded event plan needs four pairwise-distinct targets (kill,
+corrupt, flap, leave).
 """
 
 import json
@@ -13,6 +12,7 @@ import json
 import pytest
 
 from repro.ha.shardcluster import run_sharded_cluster
+from tests.golden import assert_identity, seeded_core_bytes
 
 EXPECTED_INVARIANTS = {
     "zero_corrupt_served",
@@ -30,8 +30,8 @@ EXPECTED_INVARIANTS = {
 
 @pytest.fixture(scope="module")
 def reports():
-    first = run_sharded_cluster(seed=7, replicas=4, k=2, requests=16, corrupt_count=1)
-    second = run_sharded_cluster(seed=7, replicas=4, k=2, requests=16, corrupt_count=1)
+    first = run_sharded_cluster(seed=7, replicas=6, k=2, requests=60)
+    second = run_sharded_cluster(seed=7, replicas=6, k=2, requests=60)
     return first, second
 
 
@@ -47,6 +47,7 @@ class TestShardedClusterExercise:
         assert json.dumps(first.seeded_core(), sort_keys=True) == json.dumps(
             second.seeded_core(), sort_keys=True
         )
+        assert_identity("sharded_cluster", seeded_core_bytes(first.seeded_core()))
 
     def test_events_hit_distinct_targets(self, reports):
         report, _ = reports
@@ -66,11 +67,11 @@ class TestShardedClusterExercise:
 
     def test_capacity_beats_full_replication(self, reports):
         report, _ = reports
-        # k=2 over N=4: ~2x the unique bytes of a full-copy cluster at
+        # k=2 over N=6: ~3x the unique bytes of a full-copy cluster at
         # equal per-replica disk (full replication is 1.0 by definition)
         assert report.placement["capacity_ratio"] > 1.5
         assert report.placement["k"] == 2
-        assert len(report.placement["per_replica"]) == 4
+        assert len(report.placement["per_replica"]) == 6
 
     def test_degraded_write_parked_a_hint(self, reports):
         report, _ = reports
@@ -87,7 +88,7 @@ class TestShardedClusterExercise:
         report, _ = reports
         doc = report.to_dict()
         assert doc["k"] == 2
-        assert doc["replicas"] == 4
+        assert doc["replicas"] == 6
         assert set(report.phases) == {
             "A:healthy", "B:degraded", "C:flapping", "D:resharded"
         }

@@ -239,7 +239,7 @@ class TestLifetime:
 
     def test_kill_mid_request_raises_nothing_new_in_the_handler(self):
         registry, (digest, _) = build_registry()
-        # a 0.8-1.6 s sleep outlasts kill()'s wait for the accept loop (0.5 s)
+        # a 0.8-1.6 s sleep: kill() lands while the handler still sleeps
         injector = FaultInjector([FaultRule(kind="latency", rate=1.0, latency_s=1.6)])
         server = RegistryHTTPServer(registry, fault_injector=injector).start()
         raised: list[type] = []
@@ -266,6 +266,58 @@ class TestLifetime:
         held = weakref.ref(server)
         del server
         assert held() is None
+
+
+class TestKill:
+    """A kill waits for no poll: shutting the listening socket down wakes
+    the accept loop at once, so an idle server dies in milliseconds and a
+    request still in flight dies with it."""
+
+    def test_idle_registry_server_dies_at_once(self):
+        registry, (digest, _) = build_registry()
+        server = RegistryHTTPServer(registry).start()
+        with HTTPSession(server.base_url) as session:
+            session.get_blob(digest)  # leaves an idle kept-alive connection
+            began = time.perf_counter()
+            server.kill()
+            assert time.perf_counter() - began <= 0.05
+
+    def test_idle_frontend_dies_at_once(self):
+        registry, (digest, _) = build_registry()
+        with RegistryHTTPServer(registry) as upstream:
+            frontend = FailoverFrontend(
+                [upstream.base_url], monitor=HealthMonitor([upstream.base_url])
+            ).start()
+            with HTTPSession(frontend.base_url) as session:
+                session.get_blob(digest)
+                began = time.perf_counter()
+                frontend.kill()
+                assert time.perf_counter() - began <= 0.05
+
+    def test_kill_cuts_a_request_held_by_latency(self):
+        registry, (digest, _) = build_registry()
+        # holds the one request 0.2-0.4 s: well inside the old 0.5 s poll
+        injector = FaultInjector([FaultRule(kind="latency", rate=1.0, latency_s=0.4)])
+        server = RegistryHTTPServer(registry, fault_injector=injector).start()
+        raised: list[type] = []
+        server._httpd.handle_error = lambda request, address: raised.append(sys.exc_info()[0])
+        answers: list[object] = []
+
+        def pull() -> None:
+            try:
+                answers.append(session.get_blob(digest))
+            except TransientNetworkError as exc:
+                answers.append(exc)
+
+        with HTTPSession(server.base_url, timeout=5.0) as session:
+            client = threading.Thread(target=pull)
+            client.start()
+            while server.inflight == 0:
+                time.sleep(0.005)
+            server.kill()
+            client.join()
+        assert len(answers) == 1 and isinstance(answers[0], TransientNetworkError)
+        assert all(issubclass(kind, OSError) for kind in raised)
 
 
 class TestEarlyAnswersClose:
@@ -308,6 +360,21 @@ class TestEarlyAnswersClose:
             assert self.exchange(
                 frontend.port, "POST", "/v2/user/one/blobs/uploads/", None
             ) == (411, "close")
+
+    @pytest.mark.parametrize(
+        "length, status", [(b"abc", 400), (b"-1", 400), (b"200000000", 413)]
+    )
+    def test_frontend_refuses_a_bad_length_before_the_body(self, length, status):
+        with RegistryHTTPServer(build_registry()[0]) as upstream, FailoverFrontend(
+            [upstream.base_url], monitor=HealthMonitor([upstream.base_url])
+        ) as frontend:
+            received, closed = raw_exchange(
+                frontend.port,
+                b"POST /v2/user/one/blobs/uploads/ HTTP/1.1\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n",
+            )
+            assert received.startswith(b"HTTP/1.1 %d " % status) and closed
+            assert counter_total(upstream.metrics, "registry_http_requests_total") == 0
 
     def test_a_read_body_keeps_the_connection(self):
         with RegistryHTTPServer(build_registry()[0]) as server:
