@@ -74,7 +74,7 @@ def extract_insights(store: ProfileStore, *, top_n: int = 5) -> Insights:
     ``dict.setdefault`` factorize assigns every content digest its first
     occurrence position (``np.unique`` over the digest *strings*
     measured ~3x slower over the profile columns in
-    ``benchmarks/bench_colstream.py`` — it has to sort the string
+    ``tools/colstream_cells.py`` — it has to sort the string
     column, while the dict hashes each digest once), then copy counting
     and ranking are ``np.bincount``/``argsort`` over the integer codes.
     Basename ``Counter``\\ s are built lazily, only for the digests that

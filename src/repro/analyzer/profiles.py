@@ -247,7 +247,7 @@ class ProfileStore:
         ``zip(file_digests, file_sizes, file_types)`` columns: one dict
         probe per occurrence, sizes and types kept only for first-seen
         digests, and no record object built or read. Measured at 240 k
-        occurrences (``benchmarks/bench_colstream.py``, 2-core x86-64):
+        occurrences (``tools/colstream_cells.py``, 2-core x86-64):
         the pre-columns per-record walk is 4–7x slower; ``np.unique``
         over the digest strings is still 2.3–3.1x slower (it sorts the
         string column); a C-level ``dict.setdefault`` factorize over the

@@ -2,9 +2,9 @@
 
 Each returns a :class:`FigureResult` holding the plotted series (CDFs,
 histograms, breakdown rows), the headline metrics as measured, and the
-paper's published values for the same metrics. The benchmark harness calls
-:func:`compute_figure` per figure and EXPERIMENTS.md is rendered from the
-results.
+paper's published values for the same metrics. EXPERIMENTS.md is rendered
+from the results, and :func:`repro.core.paper_targets.out_of_band` checks
+them against the reproduction's bands.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ from repro.registry.transport import (
     Transport,
     error_answer,
 )
-from repro.util.digest import sha256_bytes
+from repro.util.digest import DigestError, sha256_bytes
 
 #: registry error -> (HTTP status, v2 error code)
 _ERROR_MAP: list[tuple[type, int, str]] = [
@@ -259,6 +259,8 @@ class _Handler(KeepAliveHandler):
             return self._refusal(refused, endpoint)
         except RegistryError as exc:
             return _registry_error(exc)
+        except DigestError as exc:
+            return error_answer(400, "DIGEST_INVALID", str(exc))
 
     def _client_id(self) -> str:
         """Who is asking — an explicit ``X-Client-Id`` (loadgen's virtual

@@ -10,14 +10,13 @@ Figs. 13–22, the duplication structure behind Figs. 24–29, layer sharing
 Two outputs:
 
 * :func:`generate_dataset` — a columnar :class:`~repro.model.dataset.HubDataset`
-  at any scale (this is what the benchmark harness characterizes);
+  at any scale (the figures and EXPERIMENTS.md are computed from it);
 * :func:`materialize_registry` — a real, byte-level
   :class:`~repro.registry.Registry` built from a small dataset, so the
   crawl→download→extract→analyze pipeline can run end-to-end on actual
   tarballs.
 """
 
-from repro.synth.calibration import CalibrationRow, calibration_report, failed_rows
 from repro.synth.churn import ChurnDelta, ChurnEngine, ChurnParams, RegistryWriter
 from repro.synth.config import LayerShapeConfig, PopularityConfig, SharingConfig, SyntheticHubConfig
 from repro.synth.content import synthesize_file_bytes
@@ -53,7 +52,6 @@ __all__ = [
     "ChurnParams",
     "RegistryWriter",
     "BuiltHub",
-    "CalibrationRow",
     "ChunkSpec",
     "DEFAULT_CHUNK_OCCURRENCES",
     "DatasetChunk",
@@ -66,8 +64,6 @@ __all__ = [
     "SEVERITIES",
     "SyntheticCveDatabase",
     "Vulnerability",
-    "calibration_report",
-    "failed_rows",
     "build_hub",
     "chunks_from_dataset",
     "iter_dataset_chunks",

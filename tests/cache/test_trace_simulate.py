@@ -98,3 +98,26 @@ class TestSimulate:
         small = simulate(trace, LRUCache(max(1, int(0.01 * ws))))
         big = simulate(trace, LRUCache(int(0.5 * ws)))
         assert big.hit_ratio >= small.hit_ratio
+
+    def test_frequency_aware_policy_keeps_up_with_fifo(self, small_dataset):
+        """On the popularity-skewed image trace, LFU or GDSF is never more
+        than 2 points behind FIFO, and every policy gains with capacity."""
+        trace = generate_trace(small_dataset, 5_000, locality=0.2, seed=7)
+        ws = trace.working_set_bytes()
+        capacities = [int(0.01 * ws), int(0.05 * ws), int(0.20 * ws)]
+        policies = ["fifo", "lru", "lfu", "gdsf"]
+        results = sweep(trace, policies, capacities)
+        hit = {(r.policy, r.capacity_bytes): r.hit_ratio for r in results}
+        for capacity in capacities:
+            best = max(hit[("lfu", capacity)], hit[("gdsf", capacity)])
+            assert best >= hit[("fifo", capacity)] - 0.02
+        for policy in policies:
+            assert hit[(policy, capacities[-1])] >= hit[(policy, capacities[0])]
+
+    def test_layer_cache_absorbs_shared_layers(self, small_dataset):
+        """Layer sharing makes a cache of 5 % of the layer working set hit
+        on more than 30 % of layer requests under the best policy."""
+        trace = generate_trace(small_dataset, 5_000, granularity="layer", locality=0.2, seed=7)
+        capacity = int(0.05 * trace.working_set_bytes())
+        results = sweep(trace, ["fifo", "lru", "lfu", "gdsf"], [capacity])
+        assert max(r.hit_ratio for r in results) > 0.3

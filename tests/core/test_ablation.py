@@ -46,6 +46,16 @@ class TestA1:
         )
         assert points[1].mean_pull_latency_s < points[0].mean_pull_latency_s
 
+    def test_fast_link_threshold_costs_little_storage(self, small_dataset):
+        """On a 250 MB/s link a 4 MB threshold beats all-compressed on mean
+        pull latency and costs under 1.5x the compressed storage."""
+        points = uncompressed_small_layers(
+            small_dataset, thresholds=[0, 4_000_000],
+            network=NetworkModel(bandwidth_bytes_per_s=250e6),
+        )
+        assert points[1].mean_pull_latency_s < points[0].mean_pull_latency_s
+        assert points[1].registry_blowup < 1.5
+
 
 class TestA2:
     def test_hit_ratio_monotone(self, small_dataset):

@@ -1,5 +1,7 @@
 """Streaming columnar analysis: byte-for-byte equivalence and merge algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.synth.streamgen import (
     open_chunk_store,
     spill_chunks,
 )
+from tests.golden import assert_identity
 
 
 # -- the oracle: the sort + ``reduceat`` type sums, verbatim -------------------------
@@ -99,6 +102,16 @@ class TestEquivalence:
             iter_dataset_chunks(config, chunk_occurrences=10_000)
         ).to_json()
         assert streamed == reference
+
+    def test_identity_ledger_rows(self):
+        """The ledger's whole and 2 000-occurrence-chunked reports: equal to
+        each other and to the recorded hash."""
+        dataset = generate_dataset(
+            replace(SyntheticHubConfig.tiny(seed=7), n_images=120, n_rare_types=40)
+        )
+        assert_identity("columnar_in_memory", report_from_dataset(dataset).to_json().encode())
+        chunked = report_from_chunks(chunks_from_dataset(dataset, chunk_occurrences=2_000))
+        assert_identity("columnar_chunked", chunked.to_json().encode())
 
     def test_chunk_size_invariance(self, small_dataset):
         reference = report_from_dataset(small_dataset).to_json()

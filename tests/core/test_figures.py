@@ -1,15 +1,25 @@
 """Tests for the figure registry: every figure computes on a calibrated
 dataset and reports the headline metrics the paper publishes."""
 
+import json
+
 import pytest
 
 from repro.core.figures import FIGURES, FigureResult, compute_all_figures, compute_figure
 from repro.core.paper_targets import PAPER_TARGETS
+from tests.golden import assert_identity
 
 
 @pytest.fixture(scope="module")
 def results(small_dataset) -> dict[str, FigureResult]:
-    return {r.figure_id: r for r in compute_all_figures(small_dataset)}
+    results = {r.figure_id: r for r in compute_all_figures(small_dataset)}
+    assert_identity(
+        "figures_small",
+        json.dumps(
+            {fid: [r.metrics, r.paper] for fid, r in results.items()}, sort_keys=True
+        ).encode(),
+    )
+    return results
 
 
 class TestRegistry:
@@ -40,34 +50,29 @@ class TestRegistry:
 
 
 class TestHeadlineShapes:
-    """Shape assertions on the calibrated small dataset (loose bounds)."""
-
-    def test_fig4_compression_median(self, results):
-        assert 1.5 <= results["fig4"].metrics["ratio_median"] <= 3.5
+    """Relations between two metrics on the calibrated small dataset; each
+    metric's own band is a ``PAPER_BANDS`` row (tests/synth/test_calibration.py)."""
 
     def test_fig5_atoms(self, results):
-        assert results["fig5"].metrics["empty_fraction"] == pytest.approx(0.07, abs=0.04)
+        metrics = results["fig5"].metrics
+        assert metrics["single_fraction"] > metrics["empty_fraction"]  # 27 % vs 7 %
 
     def test_fig8_popularity_skew(self, results):
         metrics = results["fig8"].metrics
         assert metrics["pulls_max"] > 1000 * metrics["pulls_median"]
-
-    def test_fig10_mode_eight(self, results):
-        assert results["fig10"].metrics["layers_mode"] == 8
 
     def test_fig14_document_majority(self, results):
         metrics = results["fig14"].metrics
         assert metrics["count_share_document"] > metrics["count_share_eol"]
 
     def test_fig16_elf_capacity_dominates(self, results):
-        metrics = results["fig16"].metrics
-        assert metrics["capacity_share_elf"] > 0.5  # paper: 0.84
-
-    def test_fig20_zip_majority(self, results):
-        assert results["fig20"].metrics["count_share_zip_gzip"] > 0.9
+        metrics = results["fig16"].metrics  # Com. leads on count, ELF on capacity
+        assert metrics["count_share_com"] > metrics["count_share_elf"]
+        assert metrics["capacity_share_elf"] > metrics["capacity_share_com"]
 
     def test_fig23_sharing(self, results):
-        assert results["fig23"].metrics["sharing_ratio"] > 1.2
+        metrics = results["fig23"].metrics  # the empty layer is the most shared
+        assert metrics["empty_layer_ref_share"] > metrics["top_stack_ref_share"]
 
     def test_fig24_dedup_direction(self, results):
         metrics = results["fig24"].metrics
@@ -80,9 +85,6 @@ class TestHeadlineShapes:
     def test_fig27_script_beats_database(self, results):
         metrics = results["fig27"].metrics
         assert metrics["script"] > metrics["database"]
-
-    def test_fig29_c_cpp_high(self, results):
-        assert results["fig29"].metrics["c_cpp"] > 0.8  # paper: >0.90
 
 
 class TestFigureResult:

@@ -58,6 +58,7 @@ class TestMaterializedPipeline:
         """§III-B: ~23.9 % of attempted downloads fail, split 13/87."""
         stats = pipeline_result.download_stats
         assert stats.failed / stats.attempted == pytest.approx(0.239, abs=0.07)
+        assert stats.failed_no_latest > stats.failed_auth
 
 
 class TestPipelineCache:

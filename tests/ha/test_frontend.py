@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.exercise import serving_cluster
 from repro.ha.frontend import FailoverFrontend
 from repro.ha.health import HealthMonitor
 from repro.ha.replica import RegistryReplicaSet
@@ -157,6 +158,19 @@ class TestFailover:
         assert status == 503
         assert "Retry-After" in headers
         assert json.loads(body)["errors"][0]["code"] == "UNAVAILABLE"
+
+    def test_malformed_digest_is_a_400_and_ejects_no_replica(self):
+        """A client's bad digest is the client's fault: each replica answers
+        400 DIGEST_INVALID, so no forward fails and every replica stays live."""
+        with serving_cluster(seeded_registry(), replicas=3, seed=7) as parts:
+            _, monitor, frontend, _, _ = parts
+            for _ in range(2):
+                status, body, _ = get(
+                    f"{frontend.base_url}/v2/library/app/blobs/sha256:0000"
+                )
+                assert status == 400
+                assert json.loads(body)["errors"][0]["code"] == "DIGEST_INVALID"
+            assert [r["state"] for r in monitor.snapshot()] == ["live"] * 3
 
 
 class TestEdgeIntegrity:

@@ -1,151 +1,59 @@
-"""Calibration harness: paper targets vs measured, for generator tuning.
+"""Calibration harness: every figure measured against the paper, then the
+band verdict.
 
-Run:  python tools/calibrate.py [--scale bench|small] [--seed N]
+Run:  PYTHONPATH=src python tools/calibrate.py [--scale bench|small|tiny] [--seed N]
 
-Not part of the installed package; this is the tool used to fit
-``repro/synth/typeprofiles.py`` and ``repro/synth/config.py`` to the paper's
-published numbers.
+Prints each figure's paper-vs-measured block, then every row of
+``repro.core.paper_targets.PAPER_BANDS`` that falls outside its band at the
+chosen preset and a ``verdict:`` line; exits 1 when a row is out of band.
+``tiny`` has no bands, so its verdict says only that. Not part of the
+installed package; this is the tool used to fit ``repro/synth/typeprofiles.py``
+and ``repro/synth/config.py`` to the paper's published numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
-import numpy as np
-
-from repro.filetypes.catalog import TypeGroup, default_catalog
+from repro.core.figures import compute_all_figures
+from repro.core.paper_targets import BAND_SEEDS, PAPER_BANDS, out_of_band
+from repro.core.report import render_report
 from repro.synth import SyntheticHubConfig, generate_dataset
 
 
-def fmt(value: float) -> str:
-    if value >= 1e9 or (value > 0 and value < 1e-2):
-        return f"{value:.3g}"
-    return f"{value:,.2f}"
-
-
-def row(name: str, target: float, measured: float) -> None:
-    ratio = measured / target if target else float("nan")
-    print(f"  {name:<42} target {fmt(target):>12}   measured {fmt(measured):>12}   x{ratio:.2f}")
-
-
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", default="bench", choices=["bench", "small", "tiny"])
     parser.add_argument("--seed", type=int, default=2017)
     args = parser.parse_args()
 
-    config = getattr(SyntheticHubConfig, args.scale)(seed=args.seed)
     t0 = time.time()
-    ds = generate_dataset(config)
+    ds = generate_dataset(getattr(SyntheticHubConfig, args.scale)(seed=args.seed))
+    results = compute_all_figures(ds)
     print(
-        f"generated {args.scale}: {ds.n_images} images, {ds.n_layers} layers, "
-        f"{ds.n_file_occurrences/1e6:.1f}M refs in {time.time()-t0:.1f}s"
+        f"{args.scale} seed {args.seed}: {ds.n_images} images, {ds.n_layers} layers, "
+        f"{ds.n_file_occurrences / 1e6:.1f}M refs, generated and measured in "
+        f"{time.time() - t0:.1f}s\n"
     )
-    catalog = default_catalog()
-
-    print("\n== layers (Figs 3-7) ==")
-    fls, cls = ds.layer_fls, ds.layer_cls
-    row("FLS median (MB)", 4.0, np.median(fls) / 1e6)
-    row("FLS p90 (MB)", 177.0, np.percentile(fls, 90) / 1e6)
-    row("CLS median (MB)", 4.0, np.median(cls) / 1e6)
-    row("CLS p90 (MB)", 63.0, np.percentile(cls, 90) / 1e6)
-    r = ds.compression_ratios
-    r = r[r > 0]
-    row("compression median", 2.6, np.median(r))
-    row("compression p90", 4.0, np.percentile(r, 90))
-    row("compression max", 1026, r.max())
-    row("compression frac [1,2)", 0.33 / 0.96, ((r >= 1) & (r < 2)).mean())
-    row("compression frac [2,3)", 0.60 / 0.96, ((r >= 2) & (r < 3)).mean())
-    fc = ds.layer_file_counts
-    row("files/layer median", 30, np.median(fc))
-    row("files/layer p90", 7410, np.percentile(fc, 90))
-    row("frac empty layers", 0.07, (fc == 0).mean())
-    row("frac single-file layers", 0.27, (fc == 1).mean())
-    dc = ds.layer_dir_counts
-    row("dirs/layer median", 11, np.median(dc))
-    row("dirs/layer p90", 826, np.percentile(dc, 90))
-    dd = ds.layer_max_depths
-    row("depth median", 3.5, np.median(dd))
-    row("depth p90", 9.5, np.percentile(dd, 90))
-    vals, counts = np.unique(dd[fc > 0], return_counts=True)
-    row("depth mode", 3, vals[np.argmax(counts)])
-
-    print("\n== images (Figs 8-12) ==")
-    pc = ds.pull_counts
-    row("pulls median", 40, np.median(pc))
-    row("pulls p90", 333, np.percentile(pc, 90))
-    row("pulls max", 6.5e8, pc.max())
-    row("FIS median (MB)", 94, np.median(ds.image_fls) / 1e6)
-    row("FIS p90 (GB)", 1.3, np.percentile(ds.image_fls, 90) / 1e9)
-    row("CIS median (MB)", 17, np.median(ds.image_cls) / 1e6)
-    row("CIS p90 (GB)", 0.48, np.percentile(ds.image_cls, 90) / 1e9)
-    lc = ds.image_layer_counts
-    row("layers/image median", 8, np.median(lc))
-    row("layers/image p90", 18, np.percentile(lc, 90))
-    row("frac single-layer images", 7060 / 355319, (lc == 1).mean())
-    row("files/image median", 1090, np.median(ds.image_file_counts))
-    row("files/image p90", 64780, np.percentile(ds.image_file_counts, 90))
-    row("dirs/image median", 296, np.median(ds.image_dir_counts))
-    row("dirs/image p90", 7344, np.percentile(ds.image_dir_counts, 90))
-
-    print("\n== files (Figs 13-15) ==")
-    occ_groups = ds.file_types[ds.layer_file_ids]
-    sizes = ds.occurrence_sizes
-    group_of_code = np.zeros(int(ds.file_types.max()) + 1, dtype=np.int8)
-    for code in np.unique(ds.file_types):
-        group_of_code[code] = int(catalog.by_code(int(code)).group)
-    gocc = group_of_code[occ_groups]
-    total_occ, total_cap = gocc.size, sizes.sum()
-    targets_count = {
-        TypeGroup.DOCUMENT: 0.44, TypeGroup.SOURCE: 0.13, TypeGroup.EOL: 0.11,
-        TypeGroup.SCRIPT: 0.09, TypeGroup.MEDIA: 0.04,
-    }
-    targets_cap = {TypeGroup.EOL: 0.37, TypeGroup.ARCHIVE: 0.23, TypeGroup.DOCUMENT: 0.14}
-    for g, t in targets_count.items():
-        row(f"count share {g.name}", t, (gocc == int(g)).sum() / total_occ)
-    for g, t in targets_cap.items():
-        row(f"capacity share {g.name}", t, sizes[gocc == int(g)].sum() / total_cap)
-    db_mask = gocc == int(TypeGroup.DATABASE)
-    if db_mask.any():
-        row("avg DB file size (KB)", 978.8, sizes[db_mask].mean() / 1e3)
-    row("avg file size overall (KB)", 31.6, sizes.mean() / 1e3)
-
-    print("\n== dedup (Figs 23-29) ==")
-    refc = ds.layer_ref_counts
-    row("layer refcount frac==1", 0.90, (refc == 1).mean())
-    row("layer refcount frac==2", 0.05, (refc == 2).mean())
-    row("empty layer ref share of images", 0.52, refc[0] / ds.n_images)
-    top_nonempty = np.sort(refc[1:])[-1] if ds.n_layers > 1 else 0
-    row("top stack ref share", 33413 / 355319, top_nonempty / ds.n_images)
-    cls_slots = ds.layer_cls[ds.image_layer_ids].sum()
-    row("layer-sharing dedup (x)", 85 / 47, cls_slots / ds.layer_cls.sum())
-    t = ds.totals()
-    row("unique file frac", 0.032, t.n_unique_files / t.n_file_occurrences)
-    row("file dedup count (x)", 31.5, t.n_file_occurrences / t.n_unique_files)
-    row("file dedup capacity (x)", 6.9, sizes.sum() / t.unique_file_bytes)
-    rep = ds.file_repeat_counts
-    rep = rep[rep > 0]
-    row("copies median (unique-weighted)", 4, np.median(rep))
-    row("copies p90 (unique-weighted)", 10, np.percentile(rep, 90))
-    row("frac unique files w/ >1 copy", 0.994, (rep > 1).mean())
-    row("max repeat share of occurrences", 53_654_306 / 5_278_465_130, rep.max() / rep.sum())
-    # per-group capacity dedup (Fig 27): fraction of capacity eliminated
-    print("  -- capacity eliminated by group (Fig 27) --")
-    targets27 = {
-        TypeGroup.SCRIPT: 0.98, TypeGroup.SOURCE: 0.968, TypeGroup.DOCUMENT: 0.92,
-        TypeGroup.EOL: 0.86, TypeGroup.ARCHIVE: 0.86, TypeGroup.MEDIA: 0.86,
-        TypeGroup.DATABASE: 0.76,
-    }
-    unique_used = ds.file_repeat_counts > 0
-    for g, tgt in targets27.items():
-        occ_cap = sizes[gocc == int(g)].sum()
-        um = unique_used & (group_of_code[ds.file_types] == int(g))
-        ucap = ds.file_sizes[um].sum()
-        if occ_cap > 0:
-            row(f"cap eliminated {g.name}", tgt, 1 - ucap / occ_cap)
-    row("overall cap eliminated", 0.8569, 1 - t.unique_file_bytes / sizes.sum())
+    print(render_report(results))
+    print()
+    seeds = BAND_SEEDS.get(args.scale)
+    if seeds is None:
+        print(f"verdict: no bands at {args.scale} (bands hold at {', '.join(BAND_SEEDS)})")
+        return 0
+    misses = out_of_band(results, args.scale)
+    for miss in misses:
+        print(f"[out] {miss}")
+    n_rows = sum(len(rows) for rows in PAPER_BANDS.values())
+    note = "" if args.seed in seeds else f" (the bands are held at seeds {seeds})"
+    print(
+        f"verdict: {n_rows - len(misses)}/{n_rows} banded metrics in band at "
+        f"{args.scale} seed {args.seed}{note}"
+    )
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

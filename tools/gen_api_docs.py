@@ -110,7 +110,8 @@ worker fleets or open-loop Poisson arrivals, against `SimulatedSession`,
 run under a deterministic virtual-time executor (same seed, same
 `LoadReport`); HTTP sessions are measured on the wall clock. Entry points:
 `repro loadtest --seed 3 [--proxy] [--open] [--http]`,
-`examples/loadtest_study.py`, and `benchmarks/bench_serving.py`.""",
+`examples/loadtest_study.py`, and the `serve-pull` workload of
+`benchmarks/e2e`.""",
     ),
     (
         "Fault injection & resilience",
@@ -491,7 +492,7 @@ point; `full` (~38 M) is the paper-shaped run. Speed is the e2e
 `columnar` workload's to measure. Related but separate:
 `ProfileStore.to_dataset` deliberately keeps a fused single-pass dict
 factorize (NumPy string `np.unique` measured ~5x slower;
-`benchmarks/bench_colstream.py` keeps the comparison executable), while
+`tools/colstream_cells.py` keeps the comparison executable), while
 `extract_insights` runs on integer codes + `bincount` with lazy
 basename tallies, ~3x over the per-record `Counter` walk.""",
     ),
