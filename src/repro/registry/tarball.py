@@ -39,42 +39,55 @@ def build_layer_tarball(
     bare directory entries with no files — this is how two layers with zero
     files can still have distinct digests (the paper found 7 % of layers
     file-less, yet only one *canonical* empty layer shared en masse).
+
+    Memory is bounded by one layer: the tar is written straight into the
+    gzip stream, so besides *files* only the compressed blob is held — the
+    uncompressed archive never exists as a whole.
     """
+    return _pack(sorted(files, key=_path_of), extra_dirs)
+
+
+def _path_of(item: tuple[str, bytes]) -> str:
+    return item[0]
+
+
+def _check_path(path: str) -> None:
+    if path.startswith("/") or ".." in path.split("/"):
+        raise ValueError(f"unsafe tar path: {path!r}")
+
+
+def _add_dir(tar: tarfile.TarFile, seen_dirs: set[str], dirname: str) -> None:
+    """Write a directory entry for *dirname* unless one was written."""
+    if dirname not in seen_dirs:
+        seen_dirs.add(dirname)
+        dir_info = tarfile.TarInfo(name=dirname + "/")
+        dir_info.type = tarfile.DIRTYPE
+        dir_info.mode = 0o755
+        dir_info.mtime = 0
+        tar.addfile(dir_info)
+
+
+def _pack(files: list[tuple[str, bytes]], extra_dirs: list[str] | None) -> bytes:
+    """:func:`build_layer_tarball` of *files* already sorted by path."""
     seen_dirs: set[str] = set()
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w") as tar:
+    gz = io.BytesIO()
+    with (
+        gzip.GzipFile(fileobj=gz, mode="wb", mtime=_GZIP_MTIME) as zf,
+        tarfile.open(fileobj=zf, mode="w") as tar,
+    ):
         for dirname in sorted(extra_dirs or []):
-            if dirname.startswith("/") or ".." in dirname.split("/"):
-                raise ValueError(f"unsafe tar path: {dirname!r}")
-            if dirname not in seen_dirs:
-                seen_dirs.add(dirname)
-                dir_info = tarfile.TarInfo(name=dirname + "/")
-                dir_info.type = tarfile.DIRTYPE
-                dir_info.mode = 0o755
-                dir_info.mtime = 0
-                tar.addfile(dir_info)
-        for path, content in sorted(files, key=lambda item: item[0]):
-            if path.startswith("/") or ".." in path.split("/"):
-                raise ValueError(f"unsafe tar path: {path!r}")
+            _check_path(dirname)
+            _add_dir(tar, seen_dirs, dirname)
+        for path, content in files:
+            _check_path(path)
             parts = path.split("/")[:-1]
             for i in range(len(parts)):
-                dirname = "/".join(parts[: i + 1])
-                if dirname not in seen_dirs:
-                    seen_dirs.add(dirname)
-                    dir_info = tarfile.TarInfo(name=dirname + "/")
-                    dir_info.type = tarfile.DIRTYPE
-                    dir_info.mode = 0o755
-                    dir_info.mtime = 0
-                    tar.addfile(dir_info)
+                _add_dir(tar, seen_dirs, "/".join(parts[: i + 1]))
             info = tarfile.TarInfo(name=path)
             info.size = len(content)
             info.mode = 0o644
             info.mtime = 0
             tar.addfile(info, io.BytesIO(content))
-    raw = buf.getvalue()
-    gz = io.BytesIO()
-    with gzip.GzipFile(fileobj=gz, mode="wb", mtime=_GZIP_MTIME) as zf:
-        zf.write(raw)
     return gz.getvalue()
 
 
@@ -215,7 +228,8 @@ def layer_from_files(
     returned blob.
     """
     catalog = catalog or default_catalog()
-    blob = build_layer_tarball(files, extra_dirs=extra_dirs)
+    files = sorted(files, key=_path_of)
+    blob = _pack(files, extra_dirs)
     entries = [
         FileEntry(
             path=path,
@@ -223,7 +237,7 @@ def layer_from_files(
             digest=sha256_bytes(content),
             type_code=classify_bytes(path, content, catalog).code,
         )
-        for path, content in sorted(files, key=lambda item: item[0])
+        for path, content in files
     ]
     layer = Layer(
         digest=sha256_bytes(blob),

@@ -6,6 +6,12 @@ and (c) compress roughly like the real thing (random bytes for the
 incompressible fraction, repeated phrases for the rest). Distinct ``salt``
 values produce distinct content, so unique file ids stay unique after
 materialization.
+
+The bytes are a pure function of ``(type_name, size, salt)``: a caller may
+drop them and synthesize them again to get the same bytes, which is how the
+materializer avoids holding every file of a hub at once. Filler comes from
+whole-array NumPy draws (printable text is one gather from the alphabet),
+with no per-byte Python loop.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 _PRINTABLE = (
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-+=.,;:()[]{}"
 )
+_PRINTABLE_ARRAY = np.frombuffer(_PRINTABLE, np.uint8)
 
 #: Binary magic prefixes per type (minimum viable header for the sniffer).
 _BINARY_PREFIX: dict[str, bytes] = {
@@ -70,8 +77,8 @@ def _rng_for(type_name: str, salt: int) -> np.random.Generator:
 
 
 def _random_printable(rng: np.random.Generator, n: int) -> bytes:
-    idx = rng.integers(0, len(_PRINTABLE), n)
-    return bytes(bytearray(_PRINTABLE[i] for i in idx))
+    """*n* bytes drawn uniformly from :data:`_PRINTABLE` in one gather."""
+    return _PRINTABLE_ARRAY[rng.integers(0, len(_PRINTABLE), n)].tobytes()
 
 
 def _fill(

@@ -9,11 +9,19 @@ undownloadable images did.
 The returned :class:`GroundTruth` records exactly what went in, so the
 end-to-end pipeline (crawl → download → extract → analyze) can be verified
 against it file-by-file.
+
+Besides the blobs the registry keeps, a build holds the layer it is packing
+and the files a later layer still needs: a file's bytes are synthesized at
+its first layer and freed after its last (older version builds synthesize
+them again — content is a pure function of the file id), and each tarball
+is gzip'd as it is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.filetypes.catalog import RARE_TYPE_BASE, TypeCatalog, default_catalog
 from repro.model.dataset import HubDataset
@@ -171,20 +179,22 @@ def _older_version_refs(
         files: list[tuple[str, bytes]] = []
         seen: dict[str, int] = {}
         for j, fid in enumerate(fids[:keep]):
-            path, data = file_payload(fid)
             if j == 0:
                 tname = _type_name(catalog, int(dataset.file_types[fid]))
+                path = path_for_file(fid, tname)
                 data = synthesize_file_bytes(
                     tname, int(dataset.file_sizes[fid]),
                     salt=fid + 10_000_000 * version_age,
                 )
+            else:
+                path, data = file_payload(fid)
             dup = seen.get(path, 0)
             seen[path] = dup + 1
             if dup:
                 path = f"dup{dup}/{path}"
             files.append((path, data))
         layer, blob = layer_from_files(files, catalog)
-        registry.push_blob(blob)
+        registry.push_blob(blob, digest=layer.digest)
         truth.layers.setdefault(layer.digest, layer)
         refs.append(
             ManifestLayerRef(digest=layer.digest, size=layer.compressed_size)
@@ -216,31 +226,35 @@ def materialize_registry(
     older build of its top private layer (one file's content differs, the
     newest ~10 % of files are absent) — the multi-version population the
     paper's future work targets.
+
+    Peak memory beyond the pushed blobs is the current layer plus the files
+    a later layer still needs, not the whole file universe.
     """
     registry = registry if registry is not None else Registry()
     catalog = catalog or default_catalog()
     truth = GroundTruth()
 
     # -- unique files -> bytes -------------------------------------------------
-    content_cache: dict[int, tuple[str, bytes]] = {}
-
     def file_payload(fid: int) -> tuple[str, bytes]:
-        cached = content_cache.get(fid)
-        if cached is None:
-            tname = _type_name(catalog, int(dataset.file_types[fid]))
-            data = synthesize_file_bytes(tname, int(dataset.file_sizes[fid]), salt=fid)
-            cached = (path_for_file(fid, tname), data)
-            content_cache[fid] = cached
-        return cached
+        tname = _type_name(catalog, int(dataset.file_types[fid]))
+        data = synthesize_file_bytes(tname, int(dataset.file_sizes[fid]), salt=fid)
+        return path_for_file(fid, tname), data
+
+    # A file's bytes are held from its first layer to its last, then freed.
+    uses_left = np.bincount(dataset.layer_file_ids, minlength=dataset.n_files).tolist()
+    held: dict[int, tuple[str, bytes]] = {}
 
     # -- layers -> tarballs -----------------------------------------------------
     for k in range(dataset.n_layers):
         lo, hi = dataset.layer_file_offsets[k], dataset.layer_file_offsets[k + 1]
-        fids = dataset.layer_file_ids[lo:hi]
         files: list[tuple[str, bytes]] = []
         seen_paths: dict[str, int] = {}
-        for fid in fids:
-            path, data = file_payload(int(fid))
+        for fid in dataset.layer_file_ids[lo:hi].tolist():
+            payload = held.pop(fid, None) or file_payload(fid)
+            uses_left[fid] -= 1
+            if uses_left[fid]:
+                held[fid] = payload
+            path, data = payload
             dup = seen_paths.get(path, 0)
             seen_paths[path] = dup + 1
             if dup:
@@ -250,7 +264,7 @@ def materialize_registry(
         # Distinct empty layers need distinct metadata; layer 0 is canonical.
         extra_dirs = [f"var/empty{k}"] if (not files and k != 0) else None
         layer, blob = layer_from_files(files, catalog, extra_dirs=extra_dirs)
-        registry.push_blob(blob)
+        registry.push_blob(blob, digest=layer.digest)
         truth.layers[layer.digest] = layer
         truth.layer_digest_by_index[k] = layer.digest
 

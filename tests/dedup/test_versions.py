@@ -1,6 +1,8 @@
 """Multi-tag (version) pipeline tests: materialize versions, download every
 tag, analyze cross-version sharing."""
 
+import json
+
 import pytest
 
 from repro.analyzer.analyzer import Analyzer
@@ -8,6 +10,7 @@ from repro.dedup.versions import analyze_versions
 from repro.downloader.downloader import Downloader
 from repro.downloader.session import SimulatedSession
 from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
+from tests.golden import assert_identity
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,23 @@ class TestMaterializedVersions:
                 if set(registry.get_manifest(repo, tag).layer_digests) != latest:
                     diffs += 1
         assert diffs > 0, "older builds must not all be identical to latest"
+
+
+    def test_identity_ledger_row(self, versioned):
+        """The latest layers in index order, every blob pushed (older builds
+        included) and every version tag equal the ledger's
+        ``materialized_versions`` row."""
+        dataset, _, truth = versioned
+        core = {
+            "layer_digests": [
+                truth.layer_digest_by_index[k] for k in range(dataset.n_layers)
+            ],
+            "all_layers": sorted(truth.layers),
+            "version_tags": truth.version_tags,
+        }
+        assert_identity(
+            "materialized_versions", json.dumps(core, sort_keys=True).encode()
+        )
 
 
 class TestAllTagsDownload:

@@ -152,3 +152,57 @@ class TestLayerFromFiles:
         l1, _ = layer_from_files(FILES)
         l2, _ = layer_from_files(list(reversed(FILES)))
         assert l1.digest == l2.digest
+
+
+def buffered_tarball(files, extra_dirs=None) -> bytes:
+    """The buffered algorithm the streamed writer replaced: the whole raw
+    tar built in memory, then gzip'd in one write. The oracle it must equal."""
+    seen: set[str] = set()
+
+    def add_dir(tar, dirname):
+        if dirname not in seen:
+            seen.add(dirname)
+            info = tarfile.TarInfo(name=dirname + "/")
+            info.type, info.mode, info.mtime = tarfile.DIRTYPE, 0o755, 0
+            tar.addfile(info)
+
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for dirname in sorted(extra_dirs or []):
+            add_dir(tar, dirname)
+        for path, content in sorted(files, key=lambda item: item[0]):
+            parts = path.split("/")[:-1]
+            for i in range(len(parts)):
+                add_dir(tar, "/".join(parts[: i + 1]))
+            info = tarfile.TarInfo(name=path)
+            info.size, info.mode, info.mtime = len(content), 0o644, 0
+            tar.addfile(info, io.BytesIO(content))
+    gz = io.BytesIO()
+    with gzip.GzipFile(fileobj=gz, mode="wb", mtime=0) as zf:
+        zf.write(buf.getvalue())
+    return gz.getvalue()
+
+
+class TestStreamedEqualsBuffered:
+    """Writing the tar straight into gzip must not change one blob byte."""
+
+    CASES = {
+        "no_files": ([], None),
+        "extra_dirs_only": ([], ["var/empty3", "opt/marker"]),
+        "nested_dirs": (
+            [("a/b/c/d/deep.txt", b"deep"), ("a/b/side", b"s"), ("a/top", b"t")],
+            None,
+        ),
+        "dup_path": ([("usr/bin/f", b"one"), ("dup1/usr/bin/f", b"one")], None),
+        "zero_byte_file": ([("usr/lib/pkg/__init__.py", b""), ("etc/x", b"x")], None),
+        "multi_chunk_file": ([("opt/big.bin", bytes(range(256)) * 300)], ["var/m"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blob_equals_buffered_reference(self, case):
+        files, extra_dirs = self.CASES[case]
+        expected = buffered_tarball(files, extra_dirs)
+        assert build_layer_tarball(files, extra_dirs=extra_dirs) == expected
+        assert build_layer_tarball(files[::-1], extra_dirs=extra_dirs) == expected
+        layer, blob = layer_from_files(files[::-1], extra_dirs=extra_dirs)
+        assert blob == expected and layer.digest == sha256_bytes(expected)

@@ -2,10 +2,11 @@
 
 import gzip
 
+import numpy as np
 import pytest
 
 from repro.filetypes.classifier import classify_bytes
-from repro.synth.content import synthesize_file_bytes
+from repro.synth.content import _PRINTABLE, _random_printable, synthesize_file_bytes
 from repro.synth.materialize import path_for_file
 
 #: types whose content alone identifies them (magic/shebang/markup)
@@ -69,3 +70,20 @@ class TestProperties:
         r_low = len(incompressible) / len(gzip.compress(incompressible))
         assert r_high > 2.5
         assert r_low < 1.5
+
+
+def per_byte_printable(rng: np.random.Generator, n: int) -> bytes:
+    """The per-byte draw the gather replaced: the oracle it must equal."""
+    idx = rng.integers(0, len(_PRINTABLE), n)
+    return bytes(bytearray(_PRINTABLE[i] for i in idx))
+
+
+class TestPrintableGather:
+    @pytest.mark.parametrize("n", [0, 1, 77, 4096, 1 << 20])
+    @pytest.mark.parametrize("seed", [0, 7, 2017])
+    def test_equals_per_byte_draw(self, seed, n):
+        """Same bytes as the per-byte oracle, and the generator is left in
+        the same state, so every later draw of a file is unchanged too."""
+        gathered, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _random_printable(gathered, n) == per_byte_printable(oracle, n)
+        assert gathered.bit_generator.state == oracle.bit_generator.state

@@ -1,8 +1,14 @@
 """Tests for dataset materialization into a real registry."""
 
+import json
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
 from repro.registry.errors import AuthRequiredError, TagNotFoundError
+from repro.synth import SyntheticHubConfig, generate_dataset, materialize_registry
+from tests.golden import assert_identity
 
 
 class TestMaterializedRegistry:
@@ -35,6 +41,21 @@ class TestMaterializedRegistry:
         registry, _ = materialized
         for i, name in enumerate(tiny_dataset.repo_names):
             assert registry.repository(name).pull_count == tiny_dataset.pull_counts[i]
+
+
+    def test_identity_ledger_row(self, materialized, tiny_dataset):
+        """Every layer digest in index order and every pushed repository
+        equal the ledger's ``materialized_tiny`` row."""
+        _, truth = materialized
+        core = {
+            "layer_digests": [
+                truth.layer_digest_by_index[k] for k in range(tiny_dataset.n_layers)
+            ],
+            "images": truth.images,
+            "auth_repos": truth.auth_repos,
+            "no_latest_repos": truth.no_latest_repos,
+        }
+        assert_identity("materialized_tiny", json.dumps(core, sort_keys=True).encode())
 
 
 class TestFailurePopulation:
@@ -96,3 +117,26 @@ class TestContentFidelity:
         empty_ids = [k for k in range(ds.n_layers) if ds.layer_file_counts[k] == 0]
         digests = {truth.layer_digest_by_index[k] for k in empty_ids}
         assert len(digests) == len(empty_ids)
+
+
+class TestMemoryBound:
+    def test_peak_beyond_blobs_within_one_layer(self):
+        """What a build allocates beyond the blobs the registry keeps stays
+        within 1.5x the largest layer's file bytes: files are freed after
+        their last layer and no raw archive is buffered (holding every file
+        to the end and buffering the archive put this hub at 2.3x)."""
+        dataset = generate_dataset(replace(SyntheticHubConfig.tiny(seed=3), n_images=15))
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            registry, truth = materialize_registry(dataset, fail_share=0.0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not already:
+                tracemalloc.stop()
+        blobs = sum(registry.blob_size(digest) for digest in truth.layers)
+        largest = max(layer.files_size for layer in truth.layers.values())
+        assert peak - before - blobs <= 1.5 * largest
