@@ -112,9 +112,9 @@ class SimulatedSession:
 
     def get_manifest(self, repo: str, reference: str) -> Manifest:
         self._maybe_fail("manifest", f"{repo}:{reference}")
-        manifest = self.registry.get_manifest(repo, reference, token=self.token)
-        self._account(len(manifest.to_json()))
-        return manifest
+        _, data = self.registry.get_manifest_bytes(repo, reference, token=self.token)
+        self._account(len(data))
+        return Manifest.from_json(data)
 
     def get_manifest_conditional(
         self, repo: str, reference: str, *, etag: str | None = None
@@ -127,13 +127,12 @@ class SimulatedSession:
         server quotes it.
         """
         self._maybe_fail("manifest", f"{repo}:{reference}")
-        manifest = self.registry.get_manifest(repo, reference, token=self.token)
-        digest = manifest.digest()
+        digest, data = self.registry.get_manifest_bytes(repo, reference, token=self.token)
         if etag is not None and etag.strip().strip('"') == digest:
             self._account(0)
             return None, etag
-        self._account(len(manifest.to_json()))
-        return manifest, f'"{digest}"'
+        self._account(len(data))
+        return Manifest.from_json(data), f'"{digest}"'
 
     def get_blob(self, digest: str) -> bytes:
         self._maybe_fail("blob", digest)

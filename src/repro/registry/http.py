@@ -87,10 +87,11 @@ import urllib.parse
 from typing import Callable
 
 from repro.model.manifest import MANIFEST_MEDIA_TYPE, Manifest
-from repro.obs import MetricsRegistry
+from repro.obs import Counter, Histogram, MetricsRegistry
 from repro.registry.errors import (
     AuthRequiredError,
     BlobNotFoundError,
+    DigestMismatchError,
     ManifestNotFoundError,
     RegistryError,
     RepositoryNotFoundError,
@@ -109,7 +110,7 @@ from repro.registry.transport import (
     Transport,
     error_answer,
 )
-from repro.util.digest import DigestError, sha256_bytes
+from repro.util.digest import DigestError, is_digest, sha256_bytes
 
 #: registry error -> (HTTP status, v2 error code)
 _ERROR_MAP: list[tuple[type, int, str]] = [
@@ -177,17 +178,12 @@ class _Handler(KeepAliveHandler):
         its handler and send the answer, all under the in-flight count
         and the endpoint's latency histogram."""
         owner = self.owner
-        metrics = owner.metrics
         split = urllib.parse.urlsplit(self.path)
         endpoint, match, handlers = _resolve(split.path)
+        requests, latency = owner._request_series(endpoint, self.command)
         # count on receipt, not in the finally: a client that got its bytes
         # must already observe the counter bumped (tests race on this)
-        metrics.counter(
-            "registry_http_requests_total",
-            "requests served, by endpoint and method",
-            endpoint=endpoint,
-            method=self.command,
-        ).inc()
+        requests.inc()
         start = time.perf_counter()
         try:
             try:
@@ -205,11 +201,7 @@ class _Handler(KeepAliveHandler):
                     gate.release()
                 owner._request_ended()
         finally:
-            metrics.histogram(
-                "registry_http_request_seconds",
-                "request handling latency",
-                endpoint=endpoint,
-            ).observe(time.perf_counter() - start)
+            latency.observe(time.perf_counter() - start)
 
     do_GET = do_HEAD = do_POST = do_PATCH = do_PUT = do_DELETE = _serve_request
 
@@ -369,16 +361,18 @@ class _Handler(KeepAliveHandler):
     def _get_manifest(self, match, query, headers, body) -> Answer:
         """Manifest GET/HEAD with conditional-request support.
 
-        Every response carries an ``ETag`` equal to the manifest's content
-        digest (quoted, as HTTP demands). A request whose ``If-None-Match``
-        names that digest gets a ``304`` with an empty body — the revalidation
-        that lets a proxy keep a tag fresh for one round-trip and zero payload
-        bytes.
+        The body is the manifest's stored bytes as pushed
+        (:meth:`~repro.registry.registry.Registry.get_manifest_bytes`),
+        neither parsed nor re-serialized, and its ``Docker-Content-Digest``
+        and ``ETag`` (quoted, as HTTP demands) are the key those bytes are
+        stored under, their SHA-256; nothing is hashed per request. A
+        request whose ``If-None-Match`` names that digest gets a ``304``
+        with an empty body — the revalidation that lets a proxy keep a tag
+        fresh for one round-trip and zero payload bytes.
         """
-        manifest = self.owner.registry.get_manifest(
+        digest, data = self.owner.registry.get_manifest_bytes(
             match["name"], match["ref"], token=_token(headers)
         )
-        digest = manifest.digest()
         sent = {
             "Content-Type": MANIFEST_MEDIA_TYPE,
             "Docker-Content-Digest": digest,
@@ -394,7 +388,7 @@ class _Handler(KeepAliveHandler):
             ).inc()
             if matched:
                 return 304, sent, b""
-        return 200, sent, manifest.to_json()
+        return 200, sent, data
 
     def _put_manifest(self, match, query, headers, body) -> Answer:
         registry = self.owner.registry
@@ -408,7 +402,9 @@ class _Handler(KeepAliveHandler):
         if missing:
             return error_answer(400, "MANIFEST_BLOB_UNKNOWN", missing[0])
         name = match["name"]
-        if name not in registry.catalog():
+        try:
+            registry.repository(name)
+        except RepositoryNotFoundError:
             registry.create_repository(name)  # Hub creates on first push
         digest = registry.push_manifest(name, match["ref"], manifest)
         return 201, {"Content-Type": "text/plain", "Docker-Content-Digest": digest}, b""
@@ -604,6 +600,30 @@ class RegistryHTTPServer(ServerBase):
         self._uploads_lock = threading.Lock()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
+        #: (endpoint, method) -> (requests counter, latency histogram)
+        self._series: dict[tuple[str, str], tuple[Counter, Histogram]] = {}
+
+    def _request_series(self, endpoint: str, method: str) -> tuple[Counter, Histogram]:
+        """The requests counter and latency histogram one request of
+        *method* to *endpoint* updates, looked up in :attr:`metrics` once
+        per pair. Two threads racing on a first request get the same
+        series back from :attr:`metrics`, so the race is harmless."""
+        series = self._series.get((endpoint, method))
+        if series is None:
+            series = self._series[(endpoint, method)] = (
+                self.metrics.counter(
+                    "registry_http_requests_total",
+                    "requests served, by endpoint and method",
+                    endpoint=endpoint,
+                    method=method,
+                ),
+                self.metrics.histogram(
+                    "registry_http_request_seconds",
+                    "request handling latency",
+                    endpoint=endpoint,
+                ),
+            )
+        return series
 
     # -- in-flight accounting (for graceful drain) -------------------------------
 
@@ -823,6 +843,16 @@ def _error_from_response(
     return RegistryError(f"{code}: {message}")
 
 
+def _checked(reference: str, body: bytes) -> bytes:
+    """*body*, once it hashes to *reference* when that is a digest; raises
+    :class:`~repro.registry.errors.DigestMismatchError` when it does not."""
+    if is_digest(reference):
+        actual = sha256_bytes(body)
+        if actual != reference:
+            raise DigestMismatchError(expected=reference, actual=actual)
+    return body
+
+
 class HTTPSession(_HTTPBase):
     """Registry client over HTTP — the downloader's session interface."""
 
@@ -834,12 +864,18 @@ class HTTPSession(_HTTPBase):
         return urllib.parse.quote(repo, safe="/")
 
     def resolve_tag(self, repo: str, tag: str) -> str:
-        manifest = self.get_manifest(repo, tag)
-        return manifest.digest()
+        """Tag → manifest digest: the SHA-256 of the bytes a GET by tag
+        returns, hashed as received — the registry keys a manifest by the
+        hash of the very bytes it serves, so nothing is parsed or
+        re-serialized."""
+        return sha256_bytes(self._fetch(f"/v2/{self._quote(repo)}/manifests/{tag}"))
 
     def get_manifest(self, repo: str, reference: str) -> Manifest:
+        """Fetch a manifest by tag or digest. By digest, the body must hash
+        to that digest, or :class:`~repro.registry.errors.DigestMismatchError`
+        is raised: no manifest is returned that is not the one asked for."""
         body = self._fetch(f"/v2/{self._quote(repo)}/manifests/{reference}")
-        return Manifest.from_json(body)
+        return Manifest.from_json(_checked(reference, body))
 
     def get_manifest_conditional(
         self, repo: str, reference: str, *, etag: str | None = None
@@ -861,7 +897,7 @@ class HTTPSession(_HTTPBase):
         new_etag = response_headers.get("ETag")
         if body is None:
             return None, new_etag if new_etag else etag
-        return Manifest.from_json(body), new_etag
+        return Manifest.from_json(_checked(reference, body)), new_etag
 
     def get_blob(self, digest: str) -> bytes:
         # blob fetch needs a repository scope in the URL; any name works for

@@ -22,7 +22,7 @@ from repro.registry.errors import (
     TagNotFoundError,
 )
 from repro.registry.gc import Tombstones
-from repro.util.digest import is_digest
+from repro.util.digest import is_digest, sha256_bytes
 
 
 def tag_key(repo_name: str, tag: str) -> str:
@@ -131,7 +131,7 @@ class Registry:
         write time so the push beats earlier deletions in LWW merges."""
         repo = self.repository(repo_name)
         data = manifest.to_json()
-        digest = manifest.digest()
+        digest = sha256_bytes(data)
         now = self._clock()
         self._manifests[digest] = data
         repo.tags[tag] = digest
@@ -382,10 +382,15 @@ class Registry:
         except KeyError:
             raise TagNotFoundError(repo_name, tag) from None
 
-    def get_manifest(
+    def get_manifest_bytes(
         self, repo_name: str, reference: str, *, token: str | None = None
-    ) -> Manifest:
-        """Fetch a manifest by tag or digest; counts as a pull."""
+    ) -> tuple[str, bytes]:
+        """Fetch a manifest by tag or digest as ``(digest, stored bytes)``;
+        counts as a pull.
+
+        The bytes are the manifest's canonical JSON exactly as pushed and
+        the digest is their SHA-256, the key they are stored under, so a
+        caller that only forwards them needs neither a parse nor a hash."""
         repo = self.repository(repo_name)
         self._check_auth(repo, token)
         digest = reference if is_digest(reference) else None
@@ -399,7 +404,15 @@ class Registry:
         except KeyError:
             raise ManifestNotFoundError(digest) from None
         self.manifest_pulls[repo_name] = self.manifest_pulls.get(repo_name, 0) + 1
-        return Manifest.from_json(data)
+        return digest, data
+
+    def get_manifest(
+        self, repo_name: str, reference: str, *, token: str | None = None
+    ) -> Manifest:
+        """Fetch a manifest by tag or digest; counts as a pull."""
+        return Manifest.from_json(
+            self.get_manifest_bytes(repo_name, reference, token=token)[1]
+        )
 
     def get_blob(self, digest: str) -> bytes:
         """Fetch a layer/config blob by digest (blobs are not auth-scoped

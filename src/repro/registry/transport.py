@@ -56,9 +56,11 @@ non-negative integer (400) or past its cap (413), raising
 :class:`Refused`, whose :meth:`~Refused.answer` is a Docker v2 error
 (:func:`error_answer`). The writer adds ``Content-Length``, drops the
 body for HEAD, and says ``Connection: close`` when a POST, PATCH or PUT
-is answered with its body unread. Nagle's algorithm is off: a response
-leaves in at most two writes (headers, then the body if it has one), and
-with Nagle on the second waits for the client's delayed ACK on every
+is answered with its body unread. It builds the head (the stdlib's status
+line, ``Server`` and ``Date`` lines first) in one join, and a response
+whose body is under 64 KiB leaves in one write, head and body together;
+a larger body follows the head in a second write. Nagle's algorithm is
+off, so that second write never waits for the client's delayed ACK on a
 kept-alive exchange. :class:`ServerBase` serves from a daemon thread and
 tracks every accepted connection and its handler thread, so halting it
 shuts them all down and waits for the handlers — a killed replica cannot
@@ -91,7 +93,8 @@ _EXCHANGE_ERRORS = (OSError, http.client.HTTPException)
 #: a header field name (RFC 9110 ``token``)
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
-#: request bodies below this size leave in the same ``sendall`` as the head
+#: bodies below this size leave in the same ``sendall`` as the head, a
+#: request's on the client side and a response's on the server side
 _COALESCE_BODY_BYTES = 64 * 1024
 
 #: request lines :meth:`KeepAliveHandler.parse_request` frames itself
@@ -207,6 +210,16 @@ def _unsendable(target: str) -> bool:
     )
 
 
+def _send_message(write, head: bytes, body: bytes | None) -> None:
+    """Hand *head* and *body* to *write*: in one call when the body is
+    under :data:`_COALESCE_BODY_BYTES`, else the head and then the body."""
+    if body and len(body) >= _COALESCE_BODY_BYTES:
+        write(head)
+        write(body)
+    else:
+        write(head + body if body else head)
+
+
 def _request_head(
     method: str, target: str, headers: dict[str, str], body: bytes | None, host: str
 ) -> bytes:
@@ -306,13 +319,6 @@ class _Connection:
             self.sock.close()
             raise
 
-    def send(self, head: bytes, body: bytes | None) -> None:
-        if body and len(body) >= _COALESCE_BODY_BYTES:
-            self.sock.sendall(head)
-            self.sock.sendall(body)
-        else:
-            self.sock.sendall(head + body if body else head)
-
     def close(self) -> None:
         self.rfile.close()
         self.sock.close()
@@ -354,7 +360,7 @@ class Transport:
             try:
                 if conn is None:
                     conn = _Connection(key, timeout)
-                conn.send(head, body)
+                _send_message(conn.sock.sendall, head, body)
             except OSError as exc:
                 raise ConnectionFailed(exc, reached=False) from None
             try:
@@ -490,19 +496,38 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         return body
 
     def send_answer(self, status: int, headers: dict[str, str], body: bytes) -> None:
-        """Send one response: *headers*, then ``Content-Length``, then
-        *body* unless the request was a HEAD. A POST, PATCH or PUT answered
-        without its body read also gets ``Connection: close``: kept alive,
-        the unread bytes would parse as the next request line."""
-        self.send_response(status)
+        """Send one response: the status line, ``Server`` and ``Date`` (the
+        lines ``send_response`` writes), *headers*, ``Content-Length``,
+        then *body* unless the request was a HEAD. A POST, PATCH or PUT
+        answered without its body read also gets ``Connection: close``:
+        kept alive, the unread bytes would parse as the next request line.
+        A ``Connection`` header in *headers* sets :attr:`close_connection`
+        as ``send_header`` would.
+
+        The head is built in one join and leaves in the same write as a
+        body under :data:`_COALESCE_BODY_BYTES`; a larger body follows in a
+        second write. An HTTP/0.9 request gets the body alone, as the
+        stdlib answers one."""
+        phrase = self.responses[status][0] if status in self.responses else ""
+        lines = [
+            "%s %d %s" % (self.protocol_version, status, phrase),
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+        ]
         for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
+            lines.append(f"{name}: {value}")
+            if name.lower() == "connection" and value.lower() in ("close", "keep-alive"):
+                self.close_connection = value.lower() == "close"
+        lines.append(f"Content-Length: {len(body)}")
         if self.command in BODY_METHODS and not self._body_read:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
+            lines.append("Connection: close")
+            self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            head = b""
+        else:
+            lines.append("\r\n")
+            head = "\r\n".join(lines).encode("latin-1")
+        _send_message(self.wfile.write, head, body if self.command != "HEAD" else None)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test output clean

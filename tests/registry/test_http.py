@@ -1,7 +1,11 @@
 """HTTP registry tests: the v2 API over a real socket."""
 
+import http.client
 import json
+import sys
+import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -9,13 +13,20 @@ import pytest
 from repro.crawler.crawler import HubCrawler
 from repro.downloader.downloader import Downloader
 from repro.downloader.session import TransientNetworkError
-from repro.registry.errors import AuthRequiredError, RegistryError, TagNotFoundError
+from repro.obs.metrics import counter_total
+from repro.registry.errors import (
+    AuthRequiredError,
+    DigestMismatchError,
+    RegistryError,
+    TagNotFoundError,
+)
 from repro.registry.http import HTTPSearchClient, HTTPSession, RegistryHTTPServer
 from repro.registry.registry import Registry
 from repro.registry.search import HubSearchEngine
 from repro.model.manifest import Manifest, ManifestLayerRef
 from repro.registry.tarball import layer_from_files
 from repro.util.digest import sha256_bytes
+from tests.golden import assert_identity
 
 
 def _build_registry() -> Registry:
@@ -87,6 +98,75 @@ class TestEndpoints:
         with urllib.request.urlopen(request) as response:
             assert response.status == 200
             assert response.headers["Docker-Content-Digest"].startswith("sha256:")
+
+
+def manifest_wire(registry: Registry, port: int) -> bytes:
+    """What the server sends for each repository's ``latest`` manifest,
+    canonicalised: status, body, ``Docker-Content-Digest`` and ``ETag`` of
+    a GET by tag and, when that succeeds, of a GET by the digest it named,
+    plus a HEAD's ``Content-Length``. Read with ``http.client``, not the
+    package's own client, so the row pins the bytes on the wire."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+
+    def get(method: str, path: str) -> tuple[list, http.client.HTTPMessage]:
+        conn.request(method, path, headers={"Authorization": "Bearer t"})
+        response = conn.getresponse()
+        body = response.read().decode("latin-1")
+        headers = response.headers
+        answer = [response.status, body, headers.get("Docker-Content-Digest"), headers.get("ETag")]
+        return answer, headers
+
+    rows = {}
+    try:
+        for name in registry.catalog():
+            base = f"/v2/{urllib.parse.quote(name, safe='/')}/manifests/"
+            answer, headers = get("GET", base + "latest")
+            row = {"tag": answer}
+            if answer[0] == 200:
+                row["digest"] = get("GET", base + headers["Docker-Content-Digest"])[0]
+                row["head_length"] = get("HEAD", base + "latest")[1].get("Content-Length")
+            rows[name] = row
+    finally:
+        conn.close()
+    return json.dumps(rows, sort_keys=True).encode()
+
+
+class TestManifestReads:
+    """Manifest GETs answer with the stored bytes; the client hashes them
+    as received and checks a GET by digest against the digest it named."""
+
+    def test_wire_bytes_equal_the_ledger(self, materialized):
+        registry, _ = materialized
+        with RegistryHTTPServer(registry) as server:
+            assert_identity("manifest_wire", manifest_wire(registry, server.port))
+
+    def test_resolve_tag_agrees_with_the_registry(self, materialized):
+        registry, _ = materialized
+        pairs = [
+            (repo.name, tag) for repo in registry.repositories() for tag in repo.tags
+        ]
+        assert {tag for _, tag in pairs} - {"latest"}  # not only latest tags
+        with RegistryHTTPServer(registry) as server, HTTPSession(
+            server.base_url, token="t"
+        ) as session:
+            for name, tag in pairs:
+                assert session.resolve_tag(name, tag) == registry.resolve_tag(
+                    name, tag, token="t"
+                )
+
+    def test_altered_entry_raises_digest_mismatch(self):
+        registry = _build_registry()
+        digest = registry.resolve_tag("nginx", "latest")
+        altered = Manifest(layers=(), config={"altered": True}).to_json()
+        registry._manifests[digest] = altered
+        with RegistryHTTPServer(registry) as server, HTTPSession(server.base_url) as session:
+            with pytest.raises(DigestMismatchError) as raised:
+                session.get_manifest("nginx", digest)
+            assert raised.value.actual == sha256_bytes(altered)
+            with pytest.raises(DigestMismatchError):
+                session.get_manifest_conditional("nginx", digest)
+            # by tag there is no digest to check against: the bytes come back
+            assert session.get_manifest("nginx", "latest").config == {"altered": True}
 
 
 class TestErrors:
@@ -210,6 +290,78 @@ class TestMetricsEndpoint:
             "registry_http_requests_total", endpoint="manifest", method="GET"
         ).value
         assert after == before + 1
+
+    def test_series_count_every_request_sent(self):
+        """Counter and histogram count per endpoint equal the requests
+        sent, over a mixed sequence with a 404 on an unmatched path."""
+        sent = {
+            ("ping", "GET"): 2,
+            ("manifest", "GET"): 3,
+            ("manifest", "HEAD"): 1,
+            ("blob", "GET"): 1,
+            ("tags", "GET"): 1,
+            ("other", "GET"): 2,
+        }
+        with RegistryHTTPServer(_build_registry()) as server:
+            with HTTPSession(server.base_url) as session:
+                session.ping()
+                digest = session.resolve_tag("user/app", "latest")
+                manifest = session.get_manifest("user/app", digest)
+                with pytest.raises(TagNotFoundError):
+                    session.get_manifest("user/app", "no-such-tag")
+                session.get_blob(manifest.layers[0].digest)
+                session.list_tags("user/app")
+                session.ping()
+            for path, method in (("/v2/nginx/manifests/latest", "HEAD"), ("/nope", "GET"),
+                                 ("/v2/x/nope", "GET")):
+                request = urllib.request.Request(server.base_url + path, method=method)
+                try:
+                    urllib.request.urlopen(request).close()
+                except urllib.error.HTTPError as err:
+                    err.close()
+        # read once stopped: a handler observes its latency after it answers
+        metrics = server.metrics
+        for (endpoint, method), count in sent.items():
+            assert counter_total(
+                metrics, "registry_http_requests_total", endpoint=endpoint, method=method
+            ) == count, (endpoint, method)
+        for endpoint in {endpoint for endpoint, _ in sent}:
+            histogram = metrics.histogram("registry_http_request_seconds", endpoint=endpoint)
+            assert histogram.snapshot().count == sum(
+                count for (e, _), count in sent.items() if e == endpoint
+            ), endpoint
+        assert counter_total(metrics, "registry_http_requests_total") == sum(sent.values())
+
+    def test_concurrent_first_requests_lose_no_count(self):
+        """Threads racing on each series' first request (more threads
+        than cores, a short switch interval) still count every request."""
+        threads_n, rounds = 8, 10
+        with RegistryHTTPServer(_build_registry()) as server:
+
+            def pull() -> None:
+                with HTTPSession(server.base_url) as session:
+                    for _ in range(rounds):
+                        session.ping()
+                        session.resolve_tag("nginx", "latest")
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=pull) for _ in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        metrics = server.metrics
+        for endpoint in ("ping", "manifest"):
+            assert counter_total(
+                metrics, "registry_http_requests_total", endpoint=endpoint
+            ) == threads_n * rounds
+            histogram = metrics.histogram("registry_http_request_seconds", endpoint=endpoint)
+            assert histogram.snapshot().count == threads_n * rounds
 
 
 class TestSearchOverHTTP:

@@ -9,7 +9,9 @@ import email.feedparser
 import gc
 import http.client
 import io
+import re
 import socket
+import socketserver
 import string
 import sys
 import threading
@@ -34,8 +36,11 @@ from repro.registry.registry import Registry
 from repro.registry.tarball import layer_from_files
 from repro.registry.transport import (
     ConnectionFailed,
+    KeepAliveHandler,
     MalformedHeader,
+    ServerBase,
     Transport,
+    error_answer,
     read_headers,
 )
 from repro.util.digest import sha256_bytes
@@ -549,6 +554,117 @@ class TestServerFraming:
             ):
                 received, closed = raw_exchange(frontend.port, request_head)
                 assert received.startswith(b"HTTP/1.1 400 ") and closed
+
+_SERVER_LINE = f"Server: {KeepAliveHandler.server_version} {KeepAliveHandler.sys_version}"
+_DATE_LINE = re.compile(rb"\r\nDate: [^\r\n]*\r\n")
+
+
+def answer_bytes(status_line: str, *lines: str, body: bytes = b"") -> bytes:
+    """A whole answer as the writer sends it, its ``Date`` masked."""
+    head = "\r\n".join([status_line, _SERVER_LINE, "Date: *", *lines]) + "\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+def masked(received: bytes) -> bytes:
+    return _DATE_LINE.sub(b"\r\nDate: *\r\n", received, count=1)
+
+
+class _SaysClose(KeepAliveHandler):
+    def do_GET(self) -> None:
+        self.send_answer(200, {"Connection": "close"}, b"ok")
+
+
+class TestAnswerHead:
+    """The writer's exact bytes — the stdlib's status line, ``Server`` and
+    ``Date`` lines first, then the handler's headers, ``Content-Length``
+    and the ``Connection: close`` rule — and one write for a small answer."""
+
+    @pytest.fixture()
+    def writes(self, monkeypatch) -> list[int]:
+        """The size of every write a server handler makes, in order."""
+        sizes: list[int] = []
+        write = socketserver._SocketWriter.write
+
+        def counted(writer, data):
+            sizes.append(len(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counted)
+        return sizes
+
+    @pytest.fixture()
+    def served(self):
+        registry = build_registry()[0]
+        blob = bytes(range(256)) * 16
+        digest = registry.push_blob(blob)
+        with RegistryHTTPServer(registry) as server:
+            yield server, digest, blob
+
+    json_200 = answer_bytes(
+        "HTTP/1.1 200 OK", "Content-Type: application/json", "Content-Length: 2", body=b"{}"
+    )
+    not_found = error_answer(404, "NOT_FOUND", "/nope")[2]
+
+    @pytest.mark.parametrize(
+        "request_bytes, expected, closed",
+        [
+            (b"GET /v2/ HTTP/1.1\r\n\r\n", json_200, False),
+            (
+                b"GET /nope HTTP/1.1\r\n\r\n",
+                answer_bytes(
+                    "HTTP/1.1 404 Not Found", "Content-Type: application/json",
+                    f"Content-Length: {len(not_found)}", body=not_found,
+                ),
+                False,
+            ),
+            (b"HEAD /v2/ HTTP/1.1\r\n\r\n", json_200[: json_200.index(b"{}")], False),
+            (b"GET /v2/ HTTP/1.0\r\n\r\n", json_200, True),
+            (b"GET /v2/\r\n\r\n", b"{}", True),  # HTTP/0.9: the body alone
+            (
+                b"PUT /nope HTTP/1.1\r\nContent-Length: 5\r\n\r\n",
+                answer_bytes(
+                    "HTTP/1.1 404 Not Found", "Content-Type: application/json",
+                    f"Content-Length: {len(not_found)}", "Connection: close",
+                    body=not_found,
+                ),
+                True,
+            ),
+        ],
+        ids=["200", "404", "HEAD", "HTTP/1.0", "HTTP/0.9", "unread PUT body"],
+    )
+    def test_exact_bytes_in_one_write(self, served, writes, request_bytes, expected, closed):
+        server, _, _ = served
+        received, was_closed = raw_exchange(server.port, request_bytes)
+        assert masked(received) == expected
+        assert was_closed == closed
+        assert writes == [len(received)]
+
+    def test_a_4_kib_answer_arrives_in_one_recv(self, served, writes):
+        server, digest, blob = served
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(f"GET /v2/library/blobs/{digest} HTTP/1.1\r\n\r\n".encode())
+            received = sock.recv(65536)
+        assert masked(received) == answer_bytes(
+            "HTTP/1.1 200 OK", "Content-Type: application/octet-stream",
+            "Accept-Ranges: bytes", "Content-Length: 4096", body=blob,
+        )
+        assert writes == [len(received)]
+
+    def test_a_body_of_64_kib_follows_its_head(self, served, writes):
+        server, _, _ = served
+        blob = b"z" * (64 * 1024)
+        digest = server.registry.push_blob(blob)
+        with HTTPSession(server.base_url) as session:
+            assert session.get_blob(digest) == blob
+        assert writes[1:] == [len(blob)] and writes[0] < 512
+
+    def test_a_connection_header_sets_the_close_rule(self):
+        with ServerBase(_SaysClose) as server:
+            received, closed = raw_exchange(server.port, b"GET / HTTP/1.1\r\n\r\n")
+        assert masked(received) == answer_bytes(
+            "HTTP/1.1 200 OK", "Connection: close", "Content-Length: 2", body=b"ok"
+        )
+        assert closed
 
 
 class CannedUpstream:

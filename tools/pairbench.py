@@ -19,6 +19,20 @@ change's median over the parent's, and in how many pairs the change was
 ahead (better in its metric's direction). A claim holds when the change is
 ahead in at least nine pairs of ten and its median is farther from the
 parent's than the parent's own IQR.
+
+Allocator control. A timed pass can be moved by what its untimed set-up
+left in the allocator: glibc raises its mmap threshold when a large
+chunk is freed, so a set-up that frees a buffer of many megabytes makes
+every later blob-sized allocation a heap hit, and one that does not
+leaves them to fresh mmaps and page faults. To tell such a shift from a
+change in the timed code, run the pairs again with the threshold pinned:
+
+      MALLOC_MMAP_THRESHOLD_=33554432 python tools/pairbench.py ...
+
+Each run inherits this process's environment, and ``run.py`` hands its
+environment on to the workload child it starts, so the pinned threshold
+reaches both sides alike; nothing in either checkout needs a flag. If a
+gap closes under the pin, the set-up's allocator state made it.
 """
 
 from __future__ import annotations
